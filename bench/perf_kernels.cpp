@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,7 +33,6 @@
 #include "common/arena.hpp"
 #include "common/simd.hpp"
 #include "core/eclat.hpp"
-#include "core/serialize.hpp"
 #include "core/tidset.hpp"
 #include "core/transaction_db.hpp"
 #include "synth/pai.hpp"
@@ -123,12 +121,6 @@ core::MiningResult legacy_eclat(const core::TransactionDb& db,
   return result;
 }
 
-std::string itemset_bytes(const core::MiningResult& result) {
-  std::ostringstream out;
-  core::save_mining_result(result, core::ItemCatalog{}, out);
-  return out.str();
-}
-
 // ---------------------------------------------------------------------
 // CI bench-smoke.
 
@@ -215,13 +207,12 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
   const double micro_speedup = baseline_ms / kernel_ms;
 
   // Equivalence sweep: every tier x thread count reproduces the legacy
-  // miner's bytes.
+  // miner's itemsets, order, counts and db_size.
   const auto legacy = legacy_eclat(db, mining);
   if (legacy.itemsets.empty()) {
     std::fprintf(stderr, "FAIL: legacy eclat mined no itemsets\n");
     return 1;
   }
-  const std::string expected = itemset_bytes(legacy);
   for (const KernelTier tier :
        {KernelTier::kScalar, KernelTier::kWord, KernelTier::kAvx2}) {
     if (!kernel_tier_supported(tier)) continue;
@@ -229,7 +220,7 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
     for (const std::size_t threads : {1u, 8u}) {
       core::MiningParams p = mining;
       p.num_threads = threads;
-      if (itemset_bytes(core::mine_eclat(db, p)) != expected) {
+      if (!core::same_itemsets(core::mine_eclat(db, p), legacy)) {
         clear_forced_kernel_tier();
         std::fprintf(stderr,
                      "FAIL: eclat diverged from legacy at tier=%s "

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -28,7 +27,6 @@
 #include "bench_util.hpp"
 #include "core/fpgrowth.hpp"
 #include "core/partitioned.hpp"
-#include "core/serialize.hpp"
 #include "core/transaction_db.hpp"
 #include "synth/pai.hpp"
 
@@ -96,14 +94,6 @@ std::vector<std::uint64_t> serial_verify(
   return counts;
 }
 
-std::string itemset_bytes(const core::MiningResult& result) {
-  // Catalog-free archive of the itemset family: the byte-equivalence
-  // check only needs ids and counts.
-  std::ostringstream out;
-  core::save_mining_result(result, core::ItemCatalog{}, out);
-  return out.str();
-}
-
 // CI bench-smoke for the scale-out path. Asserts SON == direct
 // FP-Growth byte for byte across partitions x threads, times the
 // indexed pass 2 against the serial subset scan, and writes one
@@ -121,12 +111,11 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
     std::fprintf(stderr, "FAIL: direct mining found no itemsets\n");
     return 1;
   }
-  const std::string expected = itemset_bytes(direct);
   const double direct_ms = bench::best_of_ms(
       [&] { benchmark::DoNotOptimize(core::mine_fpgrowth(db, mining)); });
 
-  // Equivalence sweep: every partition/thread combination must archive
-  // to the same bytes as direct FP-Growth.
+  // Equivalence sweep: every partition/thread combination must list the
+  // same itemsets, order, counts and db_size as direct FP-Growth.
   for (const std::size_t partitions : {1u, 4u, 16u}) {
     for (const std::size_t threads : {1u, 8u}) {
       core::PartitionedParams params;
@@ -134,7 +123,7 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
       params.num_partitions = partitions;
       params.num_threads = threads;
       const auto son = core::mine_partitioned(db, params);
-      if (itemset_bytes(son) != expected) {
+      if (!core::same_itemsets(son, direct)) {
         std::fprintf(stderr,
                      "FAIL: SON diverged from direct FP-Growth at "
                      "partitions=%zu threads=%zu\n",

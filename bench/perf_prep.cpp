@@ -30,7 +30,6 @@
 #include "analysis/workflow.hpp"
 #include "bench_util.hpp"
 #include "core/fpgrowth.hpp"
-#include "core/serialize.hpp"
 #include "core/transaction_db.hpp"
 #include "prep/binning.hpp"
 #include "prep/csv.hpp"
@@ -412,13 +411,8 @@ int run_bench_smoke(const char* path, long pr, const char* commit) {
       [&] { benchmark::DoNotOptimize(core::mine_fpgrowth(prepared.db, mp)); });
   const double weighted_mine_ms = bench::best_of_ms(
       [&] { benchmark::DoNotOptimize(core::mine_fpgrowth(deduped, mp)); });
-  std::ostringstream expanded_bytes;
-  std::ostringstream weighted_bytes;
-  core::save_mining_result(core::mine_fpgrowth(prepared.db, mp),
-                           prepared.catalog, expanded_bytes);
-  core::save_mining_result(core::mine_fpgrowth(deduped, mp), prepared.catalog,
-                           weighted_bytes);
-  if (expanded_bytes.str() != weighted_bytes.str()) {
+  if (!core::same_itemsets(core::mine_fpgrowth(prepared.db, mp),
+                          core::mine_fpgrowth(deduped, mp))) {
     std::fprintf(stderr,
                  "FAIL: weighted mining diverged from the expanded "
                  "database\n");

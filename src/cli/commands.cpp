@@ -27,7 +27,6 @@
 #include "analysis/export.hpp"
 #include "core/closed.hpp"
 #include "core/metrics_export.hpp"
-#include "core/serialize.hpp"
 #include "core/snapshot.hpp"
 #include "prep/csv.hpp"
 #include "serve/handler.hpp"
@@ -60,6 +59,31 @@ bool reject_unused(const Args& args, std::ostream& err) {
   return unused.empty();
 }
 
+// Rule and pruning thresholds, shared by every command that generates
+// rules: from a CSV, or replayed from a saved snapshot (`mine --load`,
+// `snapshot --from-itemsets`).
+struct RuleFlags {
+  core::RuleParams rules;
+  core::PruneParams pruning;
+};
+
+Result<RuleFlags> parse_rule_flags(const Args& args) {
+  const auto min_lift = args.get_double("min-lift", 1.5);
+  if (!min_lift.ok()) return min_lift.error();
+  const auto c_lift = args.get_double("c-lift", 1.5);
+  if (!c_lift.ok()) return c_lift.error();
+  const auto c_supp = args.get_double("c-supp", 1.5);
+  if (!c_supp.ok()) return c_supp.error();
+  const auto threads = args.get_uint("threads", 1);
+  if (!threads.ok()) return threads.error();
+  RuleFlags flags;
+  flags.rules.min_lift = min_lift.value();
+  flags.rules.num_threads = static_cast<std::size_t>(threads.value());
+  flags.pruning.c_lift = c_lift.value();
+  flags.pruning.c_supp = c_supp.value();
+  return flags;
+}
+
 // Shared CSV -> WorkflowConfig assembly for `itemsets` and `mine`.
 struct LoadedTrace {
   prep::Table table;
@@ -77,18 +101,13 @@ Result<LoadedTrace> load_trace(const Args& args) {
   if (!min_support.ok()) return min_support.error();
   const auto max_length = args.get_uint("max-length", 5);
   if (!max_length.ok()) return max_length.error();
-  const auto threads = args.get_uint("threads", 1);
-  if (!threads.ok()) return threads.error();
-  const auto min_lift = args.get_double("min-lift", 1.5);
-  if (!min_lift.ok()) return min_lift.error();
-  const auto c_lift = args.get_double("c-lift", 1.5);
-  if (!c_lift.ok()) return c_lift.error();
-  const auto c_supp = args.get_double("c-supp", 1.5);
-  if (!c_supp.ok()) return c_supp.error();
+  const auto rule_flags = parse_rule_flags(args);
+  if (!rule_flags.ok()) return rule_flags.error();
+  const std::size_t threads = rule_flags.value().rules.num_threads;
 
   prep::CsvParams csv;
   csv.force_categorical = split_list(args.get_or("categorical", "job_id"));
-  csv.num_threads = static_cast<std::size_t>(threads.value());
+  csv.num_threads = threads;
   const auto csv_begin = std::chrono::steady_clock::now();
   auto parsed = prep::read_csv_file(*path, csv);
   if (!parsed.ok()) return parsed.error();
@@ -101,13 +120,11 @@ Result<LoadedTrace> load_trace(const Args& args) {
 
   config.mining.min_support = min_support.value();
   config.mining.max_length = static_cast<std::size_t>(max_length.value());
-  config.mining.num_threads = static_cast<std::size_t>(threads.value());
   // Rule generation and the prep stages share the mining worker count.
-  config.rules.num_threads = config.mining.num_threads;
-  config.prep_threads = config.mining.num_threads;
-  config.rules.min_lift = min_lift.value();
-  config.pruning.c_lift = c_lift.value();
-  config.pruning.c_supp = c_supp.value();
+  config.mining.num_threads = threads;
+  config.prep_threads = threads;
+  config.rules = rule_flags.value().rules;
+  config.pruning = rule_flags.value().pruning;
 
   const std::string algorithm = args.get_or("algorithm", "fpgrowth");
   if (algorithm == "fpgrowth") {
@@ -327,15 +344,18 @@ int run_help(std::ostream& out) {
          "  gpumine synth --trace pai|supercloud|philly [--jobs N] "
          "[--seed S] --out trace.csv\n"
          "  gpumine itemsets --csv trace.csv [--min-support F] "
-         "[--max-length K] [--algorithm A] [--top N] [--save FILE] [--family all|closed|maximal]\n"
+         "[--max-length K] [--algorithm A] [--top N]\n"
+         "                   [--family all|closed|maximal] [--save FILE "
+         "(family all only)]\n"
          "                   [--engine direct|son] [--partitions N] "
          "[--threads N] [--stats]\n"
          "  gpumine mine (--csv trace.csv | --load FILE) --keyword ITEM "
          "[--min-support F] [--min-lift F]\n"
          "               [--c-lift F] [--c-supp F] [--bare col,..] "
          "[--group col,..] [--drop col,..]\n"
-         "               [--format table|csv|json|md] [--max-rows N] "
-         "[--engine direct|son] [--partitions N] [--threads N] [--stats]\n"
+         "               [--format table|csv|json|md] [--max-rows N "
+         "(table|md only)] [--engine direct|son]\n"
+         "               [--partitions N] [--threads N] [--stats]\n"
          "               [--trace FILE] [--stats-json FILE] [--metrics-out "
          "FILE] [--flight-dump FILE]\n"
          "               [--log-level debug|info|warn|error|off] "
@@ -348,7 +368,7 @@ int run_help(std::ostream& out) {
          "[--sort idle|failed|hours|rate] [--top N]\n"
          "  gpumine digest --csv trace.csv --keyword ITEM [--max-rules N] "
          "[--fdr Q] [--negative-confidence F]\n"
-         "  gpumine compare --a x.itemsets --b y.itemsets --keyword ITEM "
+         "  gpumine compare --a A.snap --b B.snap --keyword ITEM "
          "[--min-lift F]\n"
          "  gpumine snapshot (--csv trace.csv | --from-itemsets FILE) "
          "--out FILE [+ mine flags]\n"
@@ -439,6 +459,12 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
     err << "--family must be all, closed or maximal\n";
     return 2;
   }
+  if (!save_path.empty() && family != "all") {
+    // Replaying regenerates rules, which needs every subset's support.
+    err << "--save needs --family all (a " << family
+        << " family cannot be replayed)\n";
+    return 2;
+  }
   if (!reject_unused(args, err)) return 2;
 
   LoadedTrace trace = std::move(loaded).value();
@@ -451,8 +477,12 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
     mined.mined.itemsets = core::maximal_itemsets(mined.mined);
   }
   if (!save_path.empty()) {
-    const auto saved = core::save_mining_result_file(
-        mined.mined, mined.prepared.catalog, save_path);
+    // A snapshot with no rules: the replaying commands regenerate them
+    // from their own flags.
+    core::RuleSnapshot archive;
+    archive.result = mined.mined;
+    archive.catalog = mined.prepared.catalog;
+    const auto saved = core::save_rule_snapshot_file(archive, save_path);
     if (!saved.ok()) {
       err << saved.error().to_string() << "\n";
       return 1;
@@ -499,41 +529,36 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
     err << max_rows.error().to_string() << "\n";
     return 2;
   }
+  if (args.has("max-rows") && (format == "csv" || format == "json")) {
+    err << "--max-rows applies to --format table|md only; " << format
+        << " lists every rule\n";
+    return 2;
+  }
   if (keyword.empty()) {
     err << "--keyword is required (an item name, e.g. 'Failed')\n";
     return 2;
   }
 
-  // Mining input: either a raw CSV (mined now) or a saved itemset file
-  // (from `itemsets --save`).
+  // Mining input: either a raw CSV (mined now) or a saved snapshot
+  // (from `itemsets --save` or `snapshot`).
   core::MiningResult result;
   core::ItemCatalog catalog;
   analysis::WorkflowConfig config;
   if (const auto load_path = args.get("load"); load_path.has_value()) {
-    auto loaded = core::load_mining_result_file(*load_path);
+    auto loaded = core::load_rule_snapshot_file(*load_path);
     if (!loaded.ok()) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    // Rule/pruning thresholds still apply when replaying saved itemsets.
-    const auto min_lift = args.get_double("min-lift", 1.5);
-    const auto c_lift = args.get_double("c-lift", 1.5);
-    const auto c_supp = args.get_double("c-supp", 1.5);
-    const auto threads = args.get_uint("threads", 1);
-    if (!min_lift.ok() || !c_lift.ok() || !c_supp.ok() || !threads.ok()) {
-      err << (!min_lift.ok() ? min_lift.error()
-              : !c_lift.ok() ? c_lift.error()
-              : !c_supp.ok() ? c_supp.error()
-                             : threads.error())
-                 .to_string()
-          << "\n";
+    // Rules are regenerated from the flag thresholds, not the file's.
+    const auto rule_flags = parse_rule_flags(args);
+    if (!rule_flags.ok()) {
+      err << rule_flags.error().to_string() << "\n";
       return 2;
     }
-    config.rules.min_lift = min_lift.value();
-    config.rules.num_threads = static_cast<std::size_t>(threads.value());
-    config.pruning.c_lift = c_lift.value();
-    config.pruning.c_supp = c_supp.value();
-    core::LoadedMiningResult archive = std::move(loaded).value();
+    config.rules = rule_flags.value().rules;
+    config.pruning = rule_flags.value().pruning;
+    core::RuleSnapshot archive = std::move(loaded).value();
     result = std::move(archive.result);
     catalog = std::move(archive.catalog);
     if (!reject_unused(args, err)) return 2;
@@ -848,24 +873,24 @@ int run_compare(const std::vector<std::string>& args_raw, std::ostream& out,
     return 2;
   }
   if (path_a.empty() || path_b.empty() || keyword.empty()) {
-    err << "--a ARCHIVE --b ARCHIVE --keyword ITEM are required "
-           "(archives from `itemsets --save`)\n";
+    err << "--a FILE --b FILE --keyword ITEM are required "
+           "(snapshots from `itemsets --save` or `snapshot`)\n";
     return 2;
   }
   if (!reject_unused(args, err)) return 2;
 
-  auto loaded_a = core::load_mining_result_file(path_a);
-  auto loaded_b = core::load_mining_result_file(path_b);
+  auto loaded_a = core::load_rule_snapshot_file(path_a);
+  auto loaded_b = core::load_rule_snapshot_file(path_b);
   if (!loaded_a.ok() || !loaded_b.ok()) {
     err << (!loaded_a.ok() ? loaded_a : loaded_b).error().to_string() << "\n";
     return 2;
   }
-  core::LoadedMiningResult a = std::move(loaded_a).value();
-  core::LoadedMiningResult b = std::move(loaded_b).value();
+  const core::RuleSnapshot a = std::move(loaded_a).value();
+  const core::RuleSnapshot b = std::move(loaded_b).value();
 
   core::RuleParams rule_params;
   rule_params.min_lift = min_lift.value();
-  auto keyword_rules = [&](const core::LoadedMiningResult& archive)
+  auto keyword_rules = [&](const core::RuleSnapshot& archive)
       -> std::vector<core::Rule> {
     const auto id = archive.catalog.find(keyword);
     if (!id) return {};
@@ -913,37 +938,23 @@ int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
   core::RuleSnapshot snapshot;
   if (const auto archive_path = args.get("from-itemsets");
       archive_path.has_value()) {
-    // Convert a v1 text archive (`itemsets --save`); rule and pruning
-    // thresholds come from the flags, as in `mine --load`.
-    const auto min_lift = args.get_double("min-lift", 1.5);
-    const auto c_lift = args.get_double("c-lift", 1.5);
-    const auto c_supp = args.get_double("c-supp", 1.5);
-    const auto threads = args.get_uint("threads", 1);
-    if (!min_lift.ok() || !c_lift.ok() || !c_supp.ok() || !threads.ok()) {
-      err << (!min_lift.ok() ? min_lift.error()
-              : !c_lift.ok() ? c_lift.error()
-              : !c_supp.ok() ? c_supp.error()
-                             : threads.error())
-                 .to_string()
-          << "\n";
+    // Re-generate rules over a saved family (`itemsets --save`, or any
+    // snapshot); thresholds come from the flags, as in `mine --load`.
+    const auto rule_flags = parse_rule_flags(args);
+    if (!rule_flags.ok()) {
+      err << rule_flags.error().to_string() << "\n";
       return 2;
     }
     if (!reject_unused(args, err)) return 2;
-    auto loaded = core::load_mining_result_file(*archive_path);
+    auto loaded = core::load_rule_snapshot_file(*archive_path);
     if (!loaded.ok()) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    core::RuleParams rule_params;
-    rule_params.min_lift = min_lift.value();
-    rule_params.num_threads = static_cast<std::size_t>(threads.value());
-    core::PruneParams prune_params;
-    prune_params.c_lift = c_lift.value();
-    prune_params.c_supp = c_supp.value();
-    core::LoadedMiningResult archive = std::move(loaded).value();
-    snapshot = core::build_rule_snapshot(std::move(archive.result),
-                                         std::move(archive.catalog),
-                                         rule_params, prune_params);
+    core::RuleSnapshot archive = std::move(loaded).value();
+    snapshot = core::build_rule_snapshot(
+        std::move(archive.result), std::move(archive.catalog),
+        rule_flags.value().rules, rule_flags.value().pruning);
   } else {
     auto loaded = load_trace(args);
     if (!loaded.ok()) {

@@ -6,12 +6,14 @@
 //                    --out trace.csv
 //   gpumine itemsets --csv trace.csv [--min-support F] [--max-length K]
 //                    [--algorithm fpgrowth|apriori|eclat] [--top N]
-//   gpumine mine     --csv trace.csv --keyword ITEM [--min-support F]
-//                    [--min-lift F] [--max-length K] [--c-lift F]
-//                    [--c-supp F] [--bare col,col] [--group col,col]
-//                    [--drop col,col] [--max-rows N]
+//                    [--save FILE]
+//   gpumine mine     (--csv trace.csv | --load FILE) --keyword ITEM
+//                    [--min-support F] [--min-lift F] [--max-length K]
+//                    [--c-lift F] [--c-supp F] [--bare col,col]
+//                    [--group col,col] [--drop col,col] [--max-rows N]
 //   gpumine predict  --csv trace.csv --target ITEM [--holdout F]
 //                    [--min-confidence F] [--seed N] [+ mine flags]
+//   gpumine compare  --a FILE --b FILE --keyword ITEM [--min-lift F]
 //   gpumine snapshot (--csv trace.csv | --from-itemsets FILE) --out FILE
 //                    [+ mine flags]
 //   gpumine serve    --snapshot FILE [--host H] [--port P] [--threads N]
@@ -23,6 +25,8 @@
 // defaults (equal-frequency quartiles; automatic 0-value and "Std" spike
 // bins); `--group` applies the 25%-share Freq/Regular/New grouping to
 // high-cardinality categorical columns such as user ids.
+// Every saved FILE is a v2 snapshot (core/snapshot.hpp), with rules
+// (`snapshot`) or without (`itemsets --save`); readers take either.
 #pragma once
 
 #include <iosfwd>
@@ -50,13 +54,13 @@ int run_report(const std::vector<std::string>& args, std::ostream& out,
 /// negative "safe pattern" rules for one keyword.
 int run_digest(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err);
-/// Compares the keyword rule sets of two itemset archives (from
-/// `itemsets --save`) — overlap, metric divergence, and the rules unique
-/// to each system.
+/// Compares the keyword rule sets of two saved itemset families (from
+/// `itemsets --save` or `snapshot`) — overlap, metric divergence, and
+/// the rules unique to each system.
 int run_compare(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err);
-/// Builds a v2 rule snapshot (core/snapshot.hpp) from a trace CSV or a
-/// v1 itemset archive, for `gpumine serve`.
+/// Builds a rule snapshot (core/snapshot.hpp) for `gpumine serve`, from
+/// a trace CSV or a saved itemset family (`itemsets --save`).
 int run_snapshot(const std::vector<std::string>& args, std::ostream& out,
                  std::ostream& err);
 /// Serves rule queries from a snapshot file over HTTP + line protocol;

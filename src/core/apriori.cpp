@@ -107,7 +107,8 @@ MiningResult mine_apriori(const TransactionDb& db, const MiningParams& params) {
     }
   }
 
-  SupportMap frequent = result.support_map();
+  SupportMap frequent;
+  for (const auto& fi : result.itemsets) frequent.emplace(fi.items, fi.count);
 
   for (std::size_t k = 2; k <= params.max_length && level.size() >= 2; ++k) {
     std::vector<Itemset> candidates = generate_candidates(level, frequent);

@@ -260,13 +260,6 @@ std::string MiningMetrics::to_json() const {
   return out.str();
 }
 
-SupportMap MiningResult::support_map() const {
-  SupportMap map;
-  map.reserve(itemsets.size());
-  for (const auto& fi : itemsets) map.emplace(fi.items, fi.count);
-  return map;
-}
-
 void sort_canonical(std::vector<FrequentItemset>& itemsets) {
   std::sort(itemsets.begin(), itemsets.end(),
             [](const FrequentItemset& a, const FrequentItemset& b) {
@@ -275,6 +268,10 @@ void sort_canonical(std::vector<FrequentItemset>& itemsets) {
               }
               return a.items < b.items;
             });
+}
+
+bool same_itemsets(const MiningResult& a, const MiningResult& b) {
+  return a.db_size == b.db_size && a.itemsets == b.itemsets;
 }
 
 }  // namespace gpumine::core

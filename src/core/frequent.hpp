@@ -42,8 +42,8 @@ struct MiningParams {
   /// Absolute support-count threshold; 0 = derive from min_support.
   /// When set, min_count() returns this value verbatim, bypassing the
   /// fraction entirely. Callers that already hold an absolute count
-  /// (top-k's binary search, SON's per-partition thresholds) use this
-  /// to avoid the count -> fraction -> ceil(f * |D|) round trip, which
+  /// (SON's per-partition thresholds) use this to avoid the
+  /// count -> fraction -> ceil(f * |D|) round trip, which
   /// can land on count + 1 under floating rounding (e.g. count 7 over
   /// total weight 25) and silently tighten the threshold.
   std::uint64_t min_count_override = 0;
@@ -61,6 +61,8 @@ struct MiningParams {
 struct FrequentItemset {
   Itemset items;        // canonical
   std::uint64_t count;  // sigma(items)
+
+  bool operator==(const FrequentItemset&) const = default;
 };
 
 /// Observability for the preprocessing front-end (paper Sec. III-E):
@@ -231,8 +233,9 @@ struct MiningMetrics {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Lookup table from itemset to support count. Heterogeneous lookup via
-/// span avoids building temporary vectors on the hot rule-generation path.
+/// Lookup table from itemset to support count (behind SupportIndex and
+/// Apriori's candidate prune). Heterogeneous lookup via span avoids
+/// building temporary vectors on the hot rule-generation path.
 using SupportMap =
     std::unordered_map<Itemset, std::uint64_t, ItemsetHash, ItemsetEq>;
 
@@ -246,9 +249,6 @@ struct MiningResult {
   std::uint64_t db_size = 0;
   MiningMetrics metrics;  // scheduler observability; not part of equality
 
-  /// Builds the support lookup map (linear in output size).
-  [[nodiscard]] SupportMap support_map() const;
-
   /// supp(X) = sigma(X) / |D| for an itemset known to be in the result;
   /// helper for tests and reports.
   [[nodiscard]] double support(const FrequentItemset& fi) const {
@@ -261,5 +261,11 @@ struct MiningResult {
 /// Sorts `itemsets` into the canonical deterministic order used by all
 /// three algorithms (length-major, then lexicographic by ids).
 void sort_canonical(std::vector<FrequentItemset>& itemsets);
+
+/// True when `a` and `b` list the same itemsets in the same order with
+/// the same counts over the same db_size; metrics are not compared. The
+/// equivalence tests and the bench harnesses' equality gates all
+/// compare mining results through this.
+[[nodiscard]] bool same_itemsets(const MiningResult& a, const MiningResult& b);
 
 }  // namespace gpumine::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/ensure.hpp"
+#include "core/support_index.hpp"
 
 namespace gpumine::core {
 
@@ -22,12 +23,13 @@ std::vector<NegativeRule> generate_negative_rules(
   params.validate();
   std::vector<NegativeRule> out;
   if (mined.db_size == 0) return out;
-  const SupportMap supports = mined.support_map();
-  const auto ky_it = supports.find(Itemset{keyword});
-  if (ky_it == supports.end()) return out;  // keyword not frequent
+  const SupportIndex supports(mined);
+  const Itemset keyword_set{keyword};
+  const auto keyword_count = supports.find(keyword_set);
+  if (!keyword_count) return out;  // keyword not frequent
 
   const auto n = static_cast<double>(mined.db_size);
-  const double supp_y = static_cast<double>(ky_it->second) / n;
+  const double supp_y = static_cast<double>(*keyword_count) / n;
   const double supp_not_y = 1.0 - supp_y;
   if (supp_not_y <= 0.0) return out;
 
@@ -42,12 +44,12 @@ std::vector<NegativeRule> generate_negative_rules(
     // Treating it as 0 would OVERSTATE negative confidence; assume the
     // worst case instead (joint exactly at the floor), which can only
     // understate it.
-    with_keyword = set_union(fi.items, Itemset{keyword});
-    const auto joint_it = supports.find(with_keyword);
+    with_keyword = set_union(fi.items, keyword_set);
+    const auto joint_count = supports.find(with_keyword);
     const double sx = static_cast<double>(fi.count);
     const double joint =
-        joint_it != supports.end()
-            ? static_cast<double>(joint_it->second)
+        joint_count != std::nullopt
+            ? static_cast<double>(*joint_count)
             : std::min(sx, params.mining_min_support * n);
     const double supp_neg = (sx - joint) / n;
     const double conf_neg = (sx - joint) / sx;

@@ -1,11 +1,12 @@
 #include "core/snapshot.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
+#include <stdexcept>
+#include <string_view>
 
 #include "core/support_index.hpp"
 
@@ -14,6 +15,7 @@ namespace {
 
 constexpr char kMagic[8] = {'G', 'P', 'M', 'S', 'N', 'A', 'P', '2'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
+constexpr std::uint64_t kReadChunkBytes = 1 << 20;
 
 std::uint64_t fnv1a64(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ull;
@@ -172,39 +174,36 @@ void save_rule_snapshot(const RuleSnapshot& snapshot, std::ostream& out) {
 Result<RuleSnapshot> load_rule_snapshot(std::istream& in) {
   std::string header(kHeaderBytes, '\0');
   in.read(header.data(), static_cast<std::streamsize>(kHeaderBytes));
-  if (static_cast<std::size_t>(in.gcount()) != kHeaderBytes) {
-    return corrupt("header", "truncated (shorter than the header)");
-  }
-  if (std::memcmp(header.data(), kMagic, sizeof(kMagic)) != 0) {
-    return corrupt("header", "bad magic (not a gpumine v2 snapshot)");
-  }
-  Cursor header_cursor(header);
-  {
-    std::string skip;
-    if (!header_cursor.read_bytes(sizeof(kMagic), skip)) {
-      return corrupt("header", "truncated");
-    }
-  }
+  header.resize(static_cast<std::size_t>(in.gcount()));
+  Cursor fields(header);
+  std::string magic;
   std::uint32_t version = 0;
   std::uint64_t payload_size = 0;
   std::uint64_t checksum = 0;
-  if (!header_cursor.read_u32(version) ||
-      !header_cursor.read_u64(payload_size) ||
-      !header_cursor.read_u64(checksum)) {
-    return corrupt("header", "truncated");
+  if (!fields.read_bytes(sizeof(kMagic), magic) || !fields.read_u32(version) ||
+      !fields.read_u64(payload_size) || !fields.read_u64(checksum)) {
+    return corrupt("header", "truncated (shorter than the header)");
+  }
+  if (magic != std::string_view(kMagic, sizeof(kMagic))) {
+    return corrupt("header", "bad magic (not a gpumine v2 snapshot)");
   }
   if (version != kRuleSnapshotVersion) {
     return corrupt("header",
                    "unsupported version " + std::to_string(version));
   }
-  if (payload_size > std::numeric_limits<std::streamsize>::max() / 2) {
-    return corrupt("header", "implausible payload size");
-  }
 
-  std::string payload(static_cast<std::size_t>(payload_size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::uint64_t>(in.gcount()) != payload_size) {
-    return corrupt("payload", "truncated (payload shorter than header says)");
+  // The header's size is a claim, not a promise: read in bounded chunks
+  // so memory follows the bytes actually present, never the claim.
+  std::string payload;
+  while (payload.size() < payload_size) {
+    const std::size_t offset = payload.size();
+    const std::size_t want =
+        std::min<std::uint64_t>(kReadChunkBytes, payload_size - offset);
+    payload.resize(offset + want);
+    in.read(payload.data() + offset, static_cast<std::streamsize>(want));
+    if (static_cast<std::size_t>(in.gcount()) != want) {
+      return corrupt("payload", "truncated (payload shorter than header says)");
+    }
   }
   if (fnv1a64(payload) != checksum) {
     return corrupt("payload", "checksum mismatch");
@@ -220,6 +219,13 @@ Result<RuleSnapshot> load_rule_snapshot(std::istream& in) {
       !cursor.read_f64(snapshot.prune_params.c_lift) ||
       !cursor.read_f64(snapshot.prune_params.c_supp)) {
     return corrupt("params", "truncated");
+  }
+  // Serving prunes with these; out-of-range values would throw there.
+  try {
+    snapshot.rule_params.validate();
+    snapshot.prune_params.validate();
+  } catch (const std::invalid_argument& e) {
+    return corrupt("params", e.what());
   }
 
   std::uint32_t item_count = 0;
@@ -254,11 +260,34 @@ Result<RuleSnapshot> load_rule_snapshot(std::istream& in) {
     snapshot.result.itemsets.push_back({std::move(items).value(), count});
   }
 
+  // Rule generation prices every antecedent and consequent from the
+  // family, so it must be downward closed: by induction over the
+  // (k-1)-subsets, every subset is present and at least as frequent.
   const SupportIndex index(snapshot.result);
+  Itemset subset;
+  for (const FrequentItemset& fi : snapshot.result.itemsets) {
+    if (fi.items.size() < 2) continue;
+    for (std::size_t drop = 0; drop < fi.items.size(); ++drop) {
+      subset.assign(fi.items.begin(), fi.items.end());
+      subset.erase(subset.begin() + static_cast<std::ptrdiff_t>(drop));
+      const auto count = index.find(subset);
+      if (!count) {
+        return corrupt("itemsets",
+                       "family not downward closed (a subset is missing)");
+      }
+      if (*count < fi.count) {
+        return corrupt("itemsets", "subset less frequent than its superset");
+      }
+    }
+  }
+
   std::uint64_t rule_count = 0;
   if (!cursor.read_u64(rule_count)) return corrupt("rules", "truncated");
   if (cursor.remaining() / 8 < rule_count) {
     return corrupt("rules", "count exceeds payload");
+  }
+  if (rule_count > 0 && snapshot.result.db_size == 0) {
+    return corrupt("rules", "rules over an empty database");
   }
   snapshot.rules.reserve(static_cast<std::size_t>(rule_count));
   for (std::uint64_t i = 0; i < rule_count; ++i) {
@@ -285,6 +314,9 @@ Result<RuleSnapshot> load_rule_snapshot(std::istream& in) {
     const auto y_count = index.find(y);
     if (!x_count || !y_count) {
       return corrupt("rules", "rule side not among the frequent itemsets");
+    }
+    if (joint_count > *x_count || joint_count > *y_count) {
+      return corrupt("rules", "joint count exceeds a side's support");
     }
     snapshot.rules.push_back(make_rule(std::move(x), std::move(y), joint_count,
                                        *x_count, *y_count,

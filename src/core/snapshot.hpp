@@ -1,11 +1,11 @@
-// RuleSnapshot: the v2 binary archive behind the serve subsystem.
-//
-// The v1 text format in core/serialize.hpp archives the frequent-itemset
-// family for offline replay; a query server wants more: the pre-generated
-// rule list (so no rule enumeration happens on the serving path), the
-// generation/pruning parameters that produced it, and an integrity check
-// so a half-written snapshot is rejected instead of served. RuleSnapshot
-// is that bundle, persisted as a little-endian binary image:
+// RuleSnapshot: gpumine's one on-disk format. It bundles the mined
+// itemset family and vocabulary with an optional pre-generated rule
+// list, the generation/pruning parameters, and an integrity check so a
+// half-written file is rejected instead of used. `itemsets --save`
+// writes it with no rules for replay by `mine --load`, `compare` and
+// `snapshot --from-itemsets`, which regenerate rules deterministically;
+// `snapshot` writes it with rules, so `serve` never enumerates rules.
+// The file is a little-endian binary image:
 //
 //   bytes  0..7   magic "GPMSNAP2"
 //   bytes  8..11  u32 format version (2)
@@ -28,9 +28,13 @@
 // data that could drift out of sync.
 //
 // Loading validates everything: magic, version, payload size vs bytes
-// actually present (truncation), checksum, dense item ids, canonical
-// itemsets, counts within db_size, and rule sides that exist in the
-// itemset family. Malformed input yields an Error, never an exception.
+// actually present (read in bounded chunks, so the header's claim never
+// sizes an allocation), checksum, parameter ranges, dense item ids,
+// canonical itemsets, counts within db_size, a downward-closed family
+// (every (k-1)-subset of an itemset present and at least as frequent,
+// which rule generation relies on), and rule sides that exist in the
+// family with joint counts within their supports. Malformed input
+// yields an Error, never an exception.
 #pragma once
 
 #include <iosfwd>
@@ -44,15 +48,16 @@
 
 namespace gpumine::core {
 
-/// Format version written by save_rule_snapshot (the text archive of
-/// core/serialize.hpp is v1).
+/// Format version written by save_rule_snapshot; the loader rejects any
+/// other, including the retired version 1 text archive.
 inline constexpr std::uint32_t kRuleSnapshotVersion = 2;
 
 /// Everything the query path needs, mined and generated ahead of time.
+/// A snapshot of a mining result alone leaves `rules` empty.
 struct RuleSnapshot {
   MiningResult result;      // frequent-itemset family + db_size
   ItemCatalog catalog;      // full vocabulary (keyword lookups by name)
-  std::vector<Rule> rules;  // pre-generated, sort_rules order
+  std::vector<Rule> rules;  // pre-generated, sort_rules order; may be empty
   RuleParams rule_params;   // thresholds the rules were generated with
   PruneParams prune_params;  // slack factors for per-keyword pruning
 };
@@ -69,8 +74,9 @@ struct RuleSnapshot {
 /// Writes the binary image described above.
 void save_rule_snapshot(const RuleSnapshot& snapshot, std::ostream& out);
 
-/// Parses and validates a binary image; any corruption (truncation,
-/// checksum mismatch, out-of-range ids, impossible counts) yields an
+/// Parses and validates a binary image, with or without rules; any
+/// corruption (truncation, checksum mismatch, out-of-range ids,
+/// impossible counts, a family that is not downward closed) yields an
 /// Error naming the offending section.
 [[nodiscard]] Result<RuleSnapshot> load_rule_snapshot(std::istream& in);
 

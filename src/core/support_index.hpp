@@ -1,12 +1,12 @@
 // Read-only support lookup shared across the whole rule stage.
 //
-// MiningResult::support_map() materializes a fresh hash table on every
-// call, yet rule generation (Sec. III-B), keyword pruning (Sec. III-D)
-// and the measures.hpp contingency builders all need exactly the same
-// sigma(X) lookups. SupportIndex builds the table once from a mining
-// result and is immutable afterwards, so one instance can back rule
-// generation for any number of keywords — and can be read concurrently
-// by the rule-generation worker shards without locking.
+// Rule generation (Sec. III-B), keyword pruning (Sec. III-D), negative
+// rules, the measures.hpp contingency builders and the snapshot
+// loader's family checks all need the same sigma(X) lookups; this is
+// the one table that answers them. SupportIndex builds the table once
+// from a mining result and is immutable afterwards, so one instance can
+// back rule generation for any number of keywords — and can be read
+// concurrently by the rule-generation worker shards without locking.
 //
 // Anti-monotonicity guarantees every subset of a frequent itemset is
 // itself frequent, so the map-only index treats a count() miss as a

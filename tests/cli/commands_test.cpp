@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -142,6 +143,16 @@ TEST(Cli, MineOutputFormats) {
   EXPECT_EQ(md.code, 0);
   EXPECT_NE(md.out.find("| Antecedent |"), std::string::npos);
   EXPECT_EQ(with_format("yaml").code, 2);
+
+  // csv and json list every rule, so an explicit --max-rows there is
+  // rejected, not ignored (the default above keeps working).
+  for (const char* format : {"csv", "json"}) {
+    auto args = base;
+    args.insert(args.end(), {"--format", format, "--max-rows", "3"});
+    const auto capped = run_cli(args);
+    EXPECT_EQ(capped.code, 2) << format;
+    EXPECT_NE(capped.err.find("--max-rows"), std::string::npos);
+  }
 }
 
 TEST(Cli, ItemsetsSaveThenMineLoad) {
@@ -163,12 +174,45 @@ TEST(Cli, ItemsetsSaveThenMineLoad) {
       run_cli({"mine", "--load", archive, "--keyword", "Failed"});
   ASSERT_EQ(from_archive.code, 0) << from_archive.err;
   EXPECT_EQ(from_csv.out, from_archive.out);
+
+  // One format: a snapshot with rules replays the same way, and
+  // re-generating rules over the saved family writes the very bytes
+  // `snapshot --csv` writes with the same flags.
+  const std::string from_csv_snap = temp_path("cli_save_csv.snap");
+  const std::string from_archive_snap = temp_path("cli_save_archive.snap");
+  ASSERT_EQ(run_cli({"snapshot", "--csv", csv, "--bare", "Status", "--out",
+                     from_csv_snap})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"snapshot", "--from-itemsets", archive, "--out",
+                     from_archive_snap})
+                .code,
+            0);
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string snap_bytes = slurp(from_csv_snap);
+  ASSERT_FALSE(snap_bytes.empty());
+  EXPECT_EQ(slurp(from_archive_snap), snap_bytes);
+  const auto from_snapshot =
+      run_cli({"mine", "--load", from_csv_snap, "--keyword", "Failed"});
+  ASSERT_EQ(from_snapshot.code, 0) << from_snapshot.err;
+  EXPECT_EQ(from_snapshot.out, from_csv.out);
 }
 
 TEST(Cli, MineLoadMissingArchive) {
   const auto result =
       run_cli({"mine", "--load", "/no/such.itemsets", "--keyword", "X"});
   EXPECT_EQ(result.code, 2);
+
+  // A text archive in the retired version 1 format is not a snapshot.
+  const std::string text = temp_path("cli_text_archive.itemsets");
+  std::ofstream(text) << "gpumine-itemsets v1\ndb_size 5\nitems 1\n0 a\n"
+                         "itemsets 1\n3 1 0\n";
+  const auto rejected = run_cli({"mine", "--load", text, "--keyword", "a"});
+  EXPECT_EQ(rejected.code, 2);
+  EXPECT_NE(rejected.err.find("bad magic"), std::string::npos) << rejected.err;
 }
 
 TEST(Cli, PredictEndToEnd) {
@@ -290,6 +334,14 @@ TEST(Cli, ItemsetsFamilySelection) {
   EXPECT_LE(maximal, closed);
   EXPECT_GT(maximal, 0u);
   EXPECT_EQ(run_cli({"itemsets", "--csv", csv, "--family", "open"}).code, 2);
+  // Replaying regenerates rules, which a closed or maximal family cannot
+  // support: saving one is rejected up front.
+  for (const char* family : {"closed", "maximal"}) {
+    const auto saved = run_cli({"itemsets", "--csv", csv, "--family", family,
+                                "--save", temp_path("cli_family.snap")});
+    EXPECT_EQ(saved.code, 2) << family;
+    EXPECT_NE(saved.err.find("--save"), std::string::npos) << saved.err;
+  }
 }
 
 TEST(Cli, ItemsetsAlgorithmSelection) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/support_index.hpp"
 #include "mining_test_util.hpp"
 
 namespace gpumine::core {
@@ -38,9 +39,7 @@ TEST(Apriori, LowerThresholdFindsPairs) {
   const auto result = mine_apriori(db, params);
   expect_same(result.itemsets, brute_force(db, params));
   // Spot-check one pair.
-  const auto map = result.support_map();
-  ASSERT_TRUE(map.contains(Itemset{0, 1}));
-  EXPECT_EQ(map.at(Itemset{0, 1}), 2u);
+  EXPECT_EQ(SupportIndex(result).find(Itemset{0, 1}), 2u);
 }
 
 TEST(Apriori, MaxLengthCutsDeeperLevels) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/support_index.hpp"
 #include "mining_test_util.hpp"
 
 namespace gpumine::core {
@@ -101,7 +102,7 @@ TEST(FpGrowth, SupportMapCoversAllSubsets) {
   MiningParams params;
   params.min_support = 0.1;
   const auto result = mine_fpgrowth(db, params);
-  const auto map = result.support_map();
+  const SupportIndex index(result);
   for (const auto& fi : result.itemsets) {
     const std::size_t k = fi.items.size();
     for (std::uint64_t mask = 1; mask < (1ull << k); ++mask) {
@@ -109,7 +110,7 @@ TEST(FpGrowth, SupportMapCoversAllSubsets) {
       for (std::size_t b = 0; b < k; ++b) {
         if ((mask >> b) & 1) sub.push_back(fi.items[b]);
       }
-      EXPECT_TRUE(map.contains(sub))
+      EXPECT_TRUE(index.find(sub).has_value())
           << debug_string(sub) << " missing, subset of "
           << debug_string(fi.items);
     }

@@ -11,6 +11,7 @@
 #include "core/apriori.hpp"
 #include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
+#include "core/support_index.hpp"
 #include "mining_test_util.hpp"
 
 namespace gpumine::core {
@@ -50,15 +51,16 @@ TEST_P(MiningSweep, AntiMonotonicity) {
   params.min_support = c.min_support;
   params.max_length = c.max_length;
   const auto result = mine_fpgrowth(db, params);
-  const auto map = result.support_map();
+  const SupportIndex index(result);
   for (const auto& fi : result.itemsets) {
     if (fi.items.size() < 2) continue;
     // Dropping any one item must not decrease support.
     for (std::size_t drop = 0; drop < fi.items.size(); ++drop) {
       Itemset sub = fi.items;
       sub.erase(sub.begin() + static_cast<std::ptrdiff_t>(drop));
-      ASSERT_TRUE(map.contains(sub));
-      EXPECT_GE(map.at(sub), fi.count);
+      const auto count = index.find(sub);
+      ASSERT_TRUE(count.has_value());
+      EXPECT_GE(*count, fi.count);
     }
   }
 }
@@ -79,9 +81,9 @@ TEST_P(MiningSweep, ThresholdIsExact) {
   }
   // Completeness at the boundary: every frequent single item is present.
   const auto counts = db.item_counts();
-  const auto map = result.support_map();
+  const SupportIndex index(result);
   for (ItemId i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(map.contains(Itemset{i}), counts[i] >= min_count);
+    EXPECT_EQ(index.find(Itemset{i}).has_value(), counts[i] >= min_count);
   }
 }
 

@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
 #include "core/fpgrowth.hpp"
-#include "core/serialize.hpp"
+#include "core/support_index.hpp"
 #include "mining_test_util.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
@@ -75,9 +74,9 @@ TEST(Partitioned, SkewedPartitionContentStillExact) {
   const auto result = mine_partitioned(db, params);
   expect_same(result.itemsets, mine_fpgrowth(db, params.mining).itemsets);
   // {0,1} and {2,3} are both globally frequent at 50%.
-  const auto map = result.support_map();
-  EXPECT_TRUE(map.contains(Itemset{0, 1}));
-  EXPECT_TRUE(map.contains(Itemset{2, 3}));
+  const SupportIndex index(result);
+  EXPECT_TRUE(index.find(Itemset{0, 1}).has_value());
+  EXPECT_TRUE(index.find(Itemset{2, 3}).has_value());
 }
 
 TEST(Partitioned, Validation) {
@@ -134,26 +133,17 @@ TEST(Partitioned, PartitionMetricsPopulated) {
 
 // --- SON == direct FP-Growth, byte for byte, on the synthetic traces ---
 //
-// Archives carry every item id and support count, so string equality of
-// save_mining_result output is the strongest equivalence check we have.
-// Sweeps partitions x threads per the paper-scale traces (PAI, Philly,
-// SuperCloud synth generators through their canonical prep configs).
+// same_itemsets compares every item id and support count, in order, and
+// db_size. Sweeps partitions x threads per the paper-scale traces (PAI,
+// Philly, SuperCloud synth generators through their canonical prep
+// configs).
 
-std::string archive_bytes(const MiningResult& result,
-                          const ItemCatalog& catalog) {
-  std::ostringstream out;
-  save_mining_result(result, catalog, out);
-  return out.str();
-}
-
-void check_son_equivalence(const TransactionDb& db, const ItemCatalog& catalog,
-                           const char* label) {
+void check_son_equivalence(const TransactionDb& db, const char* label) {
   MiningParams mining;
   mining.min_support = 0.05;
   mining.max_length = 5;
   const auto reference = mine_fpgrowth(db, mining);
   ASSERT_FALSE(reference.itemsets.empty()) << label;
-  const std::string expected = archive_bytes(reference, catalog);
 
   for (const std::size_t partitions : {1u, 4u, 16u}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -162,7 +152,7 @@ void check_son_equivalence(const TransactionDb& db, const ItemCatalog& catalog,
       params.num_partitions = partitions;
       params.num_threads = threads;
       const auto son = mine_partitioned(db, params);
-      EXPECT_EQ(archive_bytes(son, catalog), expected)
+      EXPECT_TRUE(same_itemsets(son, reference))
           << label << " partitions=" << partitions << " threads=" << threads;
     }
   }
@@ -173,7 +163,7 @@ TEST(PartitionedEquivalence, MatchesFpGrowthOnPai) {
   config.num_jobs = 2000;
   const auto prepared = analysis::prepare(synth::generate_pai(config).merged(),
                                           analysis::pai_config());
-  check_son_equivalence(prepared.db, prepared.catalog, "pai");
+  check_son_equivalence(prepared.db, "pai");
 }
 
 TEST(PartitionedEquivalence, MatchesFpGrowthOnPhilly) {
@@ -181,7 +171,7 @@ TEST(PartitionedEquivalence, MatchesFpGrowthOnPhilly) {
   config.num_jobs = 2000;
   const auto prepared = analysis::prepare(
       synth::generate_philly(config).merged(), analysis::philly_config());
-  check_son_equivalence(prepared.db, prepared.catalog, "philly");
+  check_son_equivalence(prepared.db, "philly");
 }
 
 TEST(PartitionedEquivalence, MatchesFpGrowthOnSuperCloud) {
@@ -190,7 +180,7 @@ TEST(PartitionedEquivalence, MatchesFpGrowthOnSuperCloud) {
   const auto prepared =
       analysis::prepare(synth::generate_supercloud(config).merged(),
                         analysis::supercloud_config());
-  check_son_equivalence(prepared.db, prepared.catalog, "supercloud");
+  check_son_equivalence(prepared.db, "supercloud");
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/fpgrowth.hpp"
 #include "core/miner.hpp"
-#include "core/serialize.hpp"
 #include "mining_test_util.hpp"
 
 namespace gpumine::core {
@@ -35,6 +38,18 @@ RuleSnapshot snapshot_fixture(std::uint64_t seed = 4) {
                              PruneParams{});
 }
 
+// A mined family saved without rules, as `itemsets --save` writes it.
+// The catalog also holds names that appear in no itemset, with spaces.
+RuleSnapshot itemsets_fixture() {
+  auto [result, catalog] = mined_fixture();
+  catalog.intern("GPU Type = None T4");
+  catalog.intern(" Queue  = leading and trailing spaces ");
+  RuleSnapshot archive;
+  archive.result = std::move(result);
+  archive.catalog = std::move(catalog);
+  return archive;
+}
+
 std::string snapshot_bytes(const RuleSnapshot& snapshot) {
   std::ostringstream out;
   save_rule_snapshot(snapshot, out);
@@ -44,6 +59,23 @@ std::string snapshot_bytes(const RuleSnapshot& snapshot) {
 Result<RuleSnapshot> load_bytes(const std::string& bytes) {
   std::istringstream in(bytes);
   return load_rule_snapshot(in);
+}
+
+/// Rule lists equal field for field; EXPECT_EQ on the doubles asserts
+/// bit identity, not closeness.
+void expect_same_rules(const std::vector<Rule>& actual,
+                       const std::vector<Rule>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].antecedent, expected[i].antecedent) << "rule " << i;
+    EXPECT_EQ(actual[i].consequent, expected[i].consequent);
+    EXPECT_EQ(actual[i].count, expected[i].count);
+    EXPECT_EQ(actual[i].support, expected[i].support);
+    EXPECT_EQ(actual[i].confidence, expected[i].confidence);
+    EXPECT_EQ(actual[i].lift, expected[i].lift);
+    EXPECT_EQ(actual[i].leverage, expected[i].leverage);
+    EXPECT_EQ(actual[i].conviction, expected[i].conviction);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -60,6 +92,19 @@ void put_u64(std::string& out, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
     out.push_back(static_cast<char>((v >> shift) & 0xffu));
   }
+}
+
+void put_ids(std::string& out, const Itemset& ids) {
+  put_u32(out, static_cast<std::uint32_t>(ids.size()));
+  for (const ItemId id : ids) put_u32(out, id);
+}
+
+/// One rule-table entry: joint count, antecedent, consequent.
+void put_rule(std::string& out, std::uint64_t joint, const Itemset& x,
+              const Itemset& y) {
+  put_u64(out, joint);
+  put_ids(out, x);
+  put_ids(out, y);
 }
 
 std::uint64_t fnv1a64(const std::string& bytes) {
@@ -82,15 +127,44 @@ std::string frame(const std::string& payload,
   return out + payload;
 }
 
-/// Payload prefix: db_size 10, zeroed params, one item "a".
-std::string payload_prefix() {
+/// Payload through the item table: db_size, in-range params (min
+/// confidence 0, min lift 0, c_supp 1.5, c_lift as given), names.
+std::string payload_prefix(const std::vector<std::string>& names = {"a"},
+                           std::uint64_t db_size = 10, double c_lift = 1.5) {
   std::string p;
-  put_u64(p, 10);                          // db_size
-  for (int i = 0; i < 4; ++i) put_u64(p, 0);  // params (0.0 bits)
-  put_u32(p, 1);                           // item count
-  put_u32(p, 1);                           // name length
-  p += 'a';
+  put_u64(p, db_size);
+  for (const double param : {0.0, 0.0, c_lift, 1.5}) {
+    put_u64(p, std::bit_cast<std::uint64_t>(param));
+  }
+  put_u32(p, static_cast<std::uint32_t>(names.size()));
+  for (const std::string& name : names) {
+    put_u32(p, static_cast<std::uint32_t>(name.size()));
+    p += name;
+  }
   return p;
+}
+
+/// payload_prefix, then the itemset table; the rule table is the
+/// caller's.
+std::string family_payload(const std::vector<std::string>& names,
+                           const std::vector<FrequentItemset>& itemsets,
+                           std::uint64_t db_size = 10) {
+  std::string p = payload_prefix(names, db_size);
+  put_u64(p, itemsets.size());
+  for (const FrequentItemset& fi : itemsets) {
+    put_u64(p, fi.count);
+    put_ids(p, fi.items);
+  }
+  return p;
+}
+
+/// Items {a, b} with itemsets {a}:5 {b}:4 {a,b}:3 and one rule.
+Result<RuleSnapshot> load_with_rule(std::uint64_t joint, const Itemset& x,
+                                    const Itemset& y) {
+  std::string p = family_payload({"a", "b"}, {{{0}, 5}, {{1}, 4}, {{0, 1}, 3}});
+  put_u64(p, 1);
+  put_rule(p, joint, x, y);
+  return load_bytes(frame(p));
 }
 
 TEST(RuleSnapshot, RoundTripIsBitIdentical) {
@@ -100,31 +174,13 @@ TEST(RuleSnapshot, RoundTripIsBitIdentical) {
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
   const RuleSnapshot& back = loaded.value();
 
-  EXPECT_EQ(back.result.db_size, snapshot.result.db_size);
-  ASSERT_EQ(back.result.itemsets.size(), snapshot.result.itemsets.size());
-  for (std::size_t i = 0; i < snapshot.result.itemsets.size(); ++i) {
-    EXPECT_EQ(back.result.itemsets[i].items,
-              snapshot.result.itemsets[i].items);
-    EXPECT_EQ(back.result.itemsets[i].count,
-              snapshot.result.itemsets[i].count);
-  }
+  EXPECT_TRUE(same_itemsets(back.result, snapshot.result));
   ASSERT_EQ(back.catalog.size(), snapshot.catalog.size());
   for (ItemId id = 0; id < snapshot.catalog.size(); ++id) {
     EXPECT_EQ(back.catalog.name(id), snapshot.catalog.name(id));
   }
-  // Metrics are recomputed through make_rule on load; EXPECT_EQ on the
-  // doubles asserts bit identity, not closeness.
-  ASSERT_EQ(back.rules.size(), snapshot.rules.size());
-  for (std::size_t i = 0; i < snapshot.rules.size(); ++i) {
-    EXPECT_EQ(back.rules[i].antecedent, snapshot.rules[i].antecedent);
-    EXPECT_EQ(back.rules[i].consequent, snapshot.rules[i].consequent);
-    EXPECT_EQ(back.rules[i].count, snapshot.rules[i].count);
-    EXPECT_EQ(back.rules[i].support, snapshot.rules[i].support);
-    EXPECT_EQ(back.rules[i].confidence, snapshot.rules[i].confidence);
-    EXPECT_EQ(back.rules[i].lift, snapshot.rules[i].lift);
-    EXPECT_EQ(back.rules[i].leverage, snapshot.rules[i].leverage);
-    EXPECT_EQ(back.rules[i].conviction, snapshot.rules[i].conviction);
-  }
+  // Metrics are recomputed through make_rule on load.
+  expect_same_rules(back.rules, snapshot.rules);
   EXPECT_EQ(back.rule_params.min_confidence,
             snapshot.rule_params.min_confidence);
   EXPECT_EQ(back.rule_params.min_lift, snapshot.rule_params.min_lift);
@@ -151,6 +207,99 @@ TEST(RuleSnapshot, SaveToUnwritablePathFails) {
   const auto saved =
       save_rule_snapshot_file(snapshot_fixture(), ::testing::TempDir());
   EXPECT_FALSE(saved.ok());
+}
+
+// ---------------------------------------------------------------------
+// A mined family saved without rules (`itemsets --save`), replayed by
+// `mine --load`, `compare` and `snapshot --from-itemsets`.
+
+TEST(Serialize, RoundTripPreservesEverything) {
+  const RuleSnapshot archive = itemsets_fixture();
+  const std::string bytes = snapshot_bytes(archive);
+  auto loaded = load_bytes(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  const RuleSnapshot& back = loaded.value();
+  EXPECT_TRUE(same_itemsets(back.result, archive.result));
+  EXPECT_EQ(back.catalog.size(), archive.catalog.size());
+  EXPECT_TRUE(back.rules.empty());
+  // Bit for bit, catalog names included: saving the loaded snapshot
+  // reproduces the file.
+  EXPECT_EQ(snapshot_bytes(back), bytes);
+}
+
+TEST(Serialize, ItemNamesWithSpacesSurvive) {
+  RuleSnapshot archive;
+  archive.catalog.intern("GPU Type = None T4");
+  archive.result.db_size = 10;
+  archive.result.itemsets.push_back({{0}, 7});
+  auto loaded = load_bytes(snapshot_bytes(archive));
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  EXPECT_EQ(loaded.value().catalog.name(0), "GPU Type = None T4");
+}
+
+TEST(Serialize, FileRoundTrip) {
+  const RuleSnapshot archive = itemsets_fixture();
+  const std::string path = ::testing::TempDir() + "/gpumine_itemsets.snap";
+  const auto saved = save_rule_snapshot_file(archive, path);
+  ASSERT_TRUE(saved.ok()) << saved.error().to_string();
+  auto loaded = load_rule_snapshot_file(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  EXPECT_TRUE(same_itemsets(loaded.value().result, archive.result));
+  EXPECT_TRUE(loaded.value().rules.empty());
+}
+
+// What `mine --load` relies on: rules regenerated from the loaded family
+// equal the rules of the in-memory one, doubles included.
+TEST(Serialize, DownstreamRulesIdenticalAfterRoundTrip) {
+  const RuleSnapshot archive = itemsets_fixture();
+  auto loaded = load_bytes(snapshot_bytes(archive));
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  RuleParams params;
+  params.min_lift = 0.0;
+  const auto before = generate_rules(archive.result, params);
+  ASSERT_FALSE(before.empty());
+  expect_same_rules(generate_rules(loaded.value().result, params), before);
+}
+
+TEST(Serialize, SaveToUnopenablePathFails) {
+  // A directory is not a writable file: open must fail up front.
+  const auto saved =
+      save_rule_snapshot_file(itemsets_fixture(), ::testing::TempDir());
+  ASSERT_FALSE(saved.ok());
+  EXPECT_NE(saved.error().message.find("open"), std::string::npos);
+}
+
+TEST(Serialize, SaveSurfacesDeferredWriteFailure) {
+  // /dev/full opens fine but every flush fails with ENOSPC — the
+  // disk-full case where the error only shows up at close().
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  const auto saved = save_rule_snapshot_file(itemsets_fixture(), "/dev/full");
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.error().context, "/dev/full");
+  EXPECT_NE(saved.error().message.find("write failed"), std::string::npos);
+}
+
+TEST(Deserialize, MissingFile) {
+  const auto loaded = load_rule_snapshot_file("/no/such/file");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().context, "/no/such/file");
+}
+
+TEST(Deserialize, RejectsMalformedInput) {
+  // Files that are not snapshots at all fail on the header, without
+  // throwing: short ones as truncated, longer ones on the magic.
+  const char* cases[] = {
+      "",
+      "wrong header\n",
+      "GPMSNAP2",
+      "a text file longer than a snapshot header\n",
+  };
+  for (const char* text : cases) {
+    const auto loaded = load_bytes(text);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.error().context, "snapshot header") << text;
+  }
 }
 
 TEST(RuleSnapshot, EveryTruncatedPrefixIsRejected) {
@@ -195,28 +344,33 @@ TEST(RuleSnapshot, BadMagicAndVersionAreRejected) {
 }
 
 TEST(RuleSnapshot, ItemIdOutOfRangeIsRejected) {
-  std::string p = payload_prefix();
-  put_u64(p, 1);  // itemset count
-  put_u64(p, 5);  // support count
-  put_u32(p, 1);  // k
-  put_u32(p, 7);  // id 7, but only 1 item exists
-  auto loaded = load_bytes(frame(p));
+  // Id 7, but only one item exists.
+  auto loaded = load_bytes(frame(family_payload({"a"}, {{{7}, 5}})));
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.error().message.find("out of range"), std::string::npos);
 }
 
 TEST(RuleSnapshot, SupportCountAboveDbSizeIsRejected) {
-  std::string p = payload_prefix();
-  put_u64(p, 1);   // itemset count
-  put_u64(p, 11);  // support count 11 > db_size 10
-  put_u32(p, 1);
-  put_u32(p, 0);
-  auto loaded = load_bytes(frame(p));
+  auto loaded = load_bytes(frame(family_payload({"a"}, {{{0}, 11}})));
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.error().message.find("db_size"), std::string::npos);
 }
 
 TEST(RuleSnapshot, HugeCountsAreRejectedBeforeAllocation) {
+  // A header claiming far more payload than the stream holds is
+  // truncation, found while reading in chunks, not a 1 TiB (or 2 EiB)
+  // allocation.
+  for (const std::uint64_t claimed : {1ull << 40, 1ull << 61}) {
+    std::string header = "GPMSNAP2";  // 28 bytes, nothing after
+    put_u32(header, kRuleSnapshotVersion);
+    put_u64(header, claimed);
+    put_u64(header, 0);  // checksum
+    const auto loaded = load_bytes(header);
+    ASSERT_FALSE(loaded.ok()) << claimed;
+    EXPECT_EQ(loaded.error().context, "snapshot payload");
+    EXPECT_NE(loaded.error().message.find("truncated"), std::string::npos);
+  }
+
   // An itemset count far beyond what the payload could hold must fail
   // the plausibility check, not attempt a massive reserve.
   std::string p = payload_prefix();
@@ -235,140 +389,89 @@ TEST(RuleSnapshot, HugeCountsAreRejectedBeforeAllocation) {
 }
 
 TEST(RuleSnapshot, MalformedRulesAreRejected) {
-  const auto with_rules = [](void (*emit)(std::string&)) {
-    // db_size 10, items {a, b}, itemsets {a}:5 {b}:4 {a,b}:3, then the
-    // caller's rule table.
-    std::string p;
-    put_u64(p, 10);
-    for (int i = 0; i < 4; ++i) put_u64(p, 0);
-    put_u32(p, 2);
-    put_u32(p, 1);
-    p += 'a';
-    put_u32(p, 1);
-    p += 'b';
-    put_u64(p, 3);
-    put_u64(p, 5);
-    put_u32(p, 1);
-    put_u32(p, 0);
-    put_u64(p, 4);
-    put_u32(p, 1);
-    put_u32(p, 1);
-    put_u64(p, 3);
-    put_u32(p, 2);
-    put_u32(p, 0);
-    put_u32(p, 1);
-    emit(p);
-    return frame(p);
-  };
-
   // Valid rule {a} => {b}: accepted (metrics recomputed).
-  auto ok = load_bytes(with_rules([](std::string& p) {
-    put_u64(p, 1);  // rule count
-    put_u64(p, 3);  // joint count
-    put_u32(p, 1);
-    put_u32(p, 0);  // X = {a}
-    put_u32(p, 1);
-    put_u32(p, 1);  // Y = {b}
-  }));
+  auto ok = load_with_rule(3, {0}, {1});
   ASSERT_TRUE(ok.ok()) << ok.error().to_string();
   ASSERT_EQ(ok.value().rules.size(), 1u);
   EXPECT_DOUBLE_EQ(ok.value().rules[0].confidence, 3.0 / 5.0);
 
-  // Joint count above db_size.
-  EXPECT_FALSE(load_bytes(with_rules([](std::string& p) {
-                 put_u64(p, 1);
-                 put_u64(p, 11);
-                 put_u32(p, 1);
-                 put_u32(p, 0);
-                 put_u32(p, 1);
-                 put_u32(p, 1);
-               })).ok());
-
-  // Empty antecedent.
-  EXPECT_FALSE(load_bytes(with_rules([](std::string& p) {
-                 put_u64(p, 1);
-                 put_u64(p, 3);
-                 put_u32(p, 0);
-                 put_u32(p, 1);
-                 put_u32(p, 1);
-               })).ok());
-
-  // Overlapping sides: {a} => {a}.
-  EXPECT_FALSE(load_bytes(with_rules([](std::string& p) {
-                 put_u64(p, 1);
-                 put_u64(p, 3);
-                 put_u32(p, 1);
-                 put_u32(p, 0);
-                 put_u32(p, 1);
-                 put_u32(p, 0);
-               })).ok());
-
-  // Non-canonical side: ids out of order.
-  EXPECT_FALSE(load_bytes(with_rules([](std::string& p) {
-                 put_u64(p, 1);
-                 put_u64(p, 3);
-                 put_u32(p, 2);
-                 put_u32(p, 1);
-                 put_u32(p, 0);
-                 put_u32(p, 1);
-                 put_u32(p, 1);
-               })).ok());
+  EXPECT_FALSE(load_with_rule(11, {0}, {1}).ok());    // joint > db_size
+  EXPECT_FALSE(load_with_rule(3, {}, {1}).ok());      // empty antecedent
+  EXPECT_FALSE(load_with_rule(3, {0}, {0}).ok());     // overlapping sides
+  EXPECT_FALSE(load_with_rule(3, {1, 0}, {1}).ok());  // not canonical
+  // Joint count above a side's support: sigma({b}) is 4.
+  const auto above_side = load_with_rule(5, {0}, {1});
+  ASSERT_FALSE(above_side.ok());
+  EXPECT_NE(above_side.error().message.find("support"), std::string::npos);
 
   // Trailing bytes after the rule table.
-  EXPECT_FALSE(load_bytes(with_rules([](std::string& p) {
-                 put_u64(p, 0);
-                 p += "junk";
-               })).ok());
+  std::string trailing =
+      family_payload({"a", "b"}, {{{0}, 5}, {{1}, 4}, {{0, 1}, 3}});
+  put_u64(trailing, 0);
+  trailing += "junk";
+  EXPECT_FALSE(load_bytes(frame(trailing)).ok());
+
+  // Rules over an empty database, where every count is 0.
+  std::string empty_db = family_payload(
+      {"a", "b"}, {{{0}, 0}, {{1}, 0}, {{0, 1}, 0}}, /*db_size=*/0);
+  put_u64(empty_db, 1);
+  put_rule(empty_db, 0, {0}, {1});
+  const auto over_empty = load_bytes(frame(empty_db));
+  ASSERT_FALSE(over_empty.ok());
+  EXPECT_NE(over_empty.error().message.find("empty database"),
+            std::string::npos);
+}
+
+// Rule generation prices every subset of an itemset from the family, so
+// a family with a missing or less frequent (k-1)-subset (a closed or
+// maximal one, say) is rejected even with a valid checksum.
+TEST(RuleSnapshot, FamilyNotDownwardClosedIsRejected) {
+  const auto load_family = [](const std::vector<FrequentItemset>& family) {
+    std::string p = family_payload({"a", "b"}, family);
+    put_u64(p, 0);  // rule count
+    return load_bytes(frame(p));
+  };
+  const auto closed = load_family({{{0}, 5}, {{1}, 4}, {{0, 1}, 3}});
+  ASSERT_TRUE(closed.ok()) << closed.error().to_string();
+
+  const auto missing = load_family({{{0}, 5}, {{0, 1}, 3}});
+  ASSERT_FALSE(missing.ok());
+  EXPECT_NE(missing.error().message.find("downward closed"), std::string::npos);
+
+  const auto inverted = load_family({{{0}, 2}, {{1}, 4}, {{0, 1}, 3}});
+  ASSERT_FALSE(inverted.ok());
+  EXPECT_NE(inverted.error().message.find("less frequent"), std::string::npos);
+}
+
+TEST(RuleSnapshot, OutOfRangeParamsAreRejected) {
+  // Serving prunes with the stored slack factors, which throws on
+  // c_lift below 1 or NaN; the loader refuses such a file instead.
+  for (const double c_lift : {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    const auto loaded = load_bytes(frame(payload_prefix({}, 10, c_lift)));
+    ASSERT_FALSE(loaded.ok()) << c_lift;
+    EXPECT_EQ(loaded.error().context, "snapshot params");
+  }
 }
 
 TEST(RuleSnapshot, RuleSideNotFrequentIsRejected) {
   // Itemset family holds only {a}; a rule touching b has an unpriceable
   // side even though b is in the catalog.
-  std::string p;
-  put_u64(p, 10);
-  for (int i = 0; i < 4; ++i) put_u64(p, 0);
-  put_u32(p, 2);
-  put_u32(p, 1);
-  p += 'a';
-  put_u32(p, 1);
-  p += 'b';
+  std::string p = family_payload({"a", "b"}, {{{0}, 5}});
   put_u64(p, 1);
-  put_u64(p, 5);
-  put_u32(p, 1);
-  put_u32(p, 0);
-  put_u64(p, 1);  // rule count
-  put_u64(p, 3);
-  put_u32(p, 1);
-  put_u32(p, 0);
-  put_u32(p, 1);
-  put_u32(p, 1);
+  put_rule(p, 3, {0}, {1});
   auto loaded = load_bytes(frame(p));
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.error().message.find("frequent"), std::string::npos);
 }
 
 TEST(RuleSnapshot, DuplicateAndEmptyItemNamesAreRejected) {
-  std::string dup;
-  put_u64(dup, 10);
-  for (int i = 0; i < 4; ++i) put_u64(dup, 0);
-  put_u32(dup, 2);
-  put_u32(dup, 1);
-  dup += 'a';
-  put_u32(dup, 1);
-  dup += 'a';
-  EXPECT_FALSE(load_bytes(frame(dup)).ok());
-
-  std::string empty;
-  put_u64(empty, 10);
-  for (int i = 0; i < 4; ++i) put_u64(empty, 0);
-  put_u32(empty, 1);
-  put_u32(empty, 0);
-  EXPECT_FALSE(load_bytes(frame(empty)).ok());
+  EXPECT_FALSE(load_bytes(frame(payload_prefix({"a", "a"}))).ok());
+  EXPECT_FALSE(load_bytes(frame(payload_prefix({""}))).ok());
 }
 
-// The property the serve subsystem rests on: a v1 itemset archive and a
-// v2 rule snapshot of the same mining result produce identical
-// KeywordAnalysis output — same rules, same doubles, same order.
+// The property the serve subsystem rests on: the rules stored in a
+// snapshot, loaded and pruned per keyword, equal analyze_keyword run on
+// the in-memory mining result — same rules, same doubles, same order.
 TEST(RuleSnapshot, V1AndV2ProduceIdenticalKeywordAnalysis) {
   for (const std::uint64_t seed : {1ull, 7ull, 23ull}) {
     auto [result, catalog] = mined_fixture(seed);
@@ -376,21 +479,15 @@ TEST(RuleSnapshot, V1AndV2ProduceIdenticalKeywordAnalysis) {
     rule_params.min_lift = 1.0;
     const PruneParams prune_params;
 
-    // v1 path: text archive round trip, then the one-shot pipeline.
-    std::stringstream v1;
-    save_mining_result(result, catalog, v1);
-    auto v1_loaded = load_mining_result(v1);
-    ASSERT_TRUE(v1_loaded.ok());
-
-    // v2 path: binary snapshot round trip, then prune the stored rules.
+    // Binary snapshot round trip, then prune the stored rules.
     auto v2_loaded = load_bytes(snapshot_bytes(build_rule_snapshot(
         result, catalog, rule_params, prune_params)));
     ASSERT_TRUE(v2_loaded.ok()) << v2_loaded.error().to_string();
     const RuleSnapshot& v2 = v2_loaded.value();
 
     for (ItemId keyword = 0; keyword < catalog.size(); ++keyword) {
-      const KeywordAnalysis expected = analyze_keyword(
-          v1_loaded.value().result, keyword, rule_params, prune_params);
+      const KeywordAnalysis expected =
+          analyze_keyword(result, keyword, rule_params, prune_params);
       const auto keyed = filter_keyword(v2.rules, keyword);
       const auto pruned = prune_rules(keyed, keyword, v2.prune_params);
 
@@ -399,16 +496,9 @@ TEST(RuleSnapshot, V1AndV2ProduceIdenticalKeywordAnalysis) {
                           expected.characteristic.begin(),
                           expected.characteristic.end());
       sort_rules(expected_all);
-      ASSERT_EQ(pruned.size(), expected_all.size())
-          << "seed " << seed << " keyword " << catalog.name(keyword);
-      for (std::size_t i = 0; i < pruned.size(); ++i) {
-        EXPECT_EQ(pruned[i].antecedent, expected_all[i].antecedent);
-        EXPECT_EQ(pruned[i].consequent, expected_all[i].consequent);
-        EXPECT_EQ(pruned[i].count, expected_all[i].count);
-        EXPECT_EQ(pruned[i].support, expected_all[i].support);
-        EXPECT_EQ(pruned[i].confidence, expected_all[i].confidence);
-        EXPECT_EQ(pruned[i].lift, expected_all[i].lift);
-      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " keyword " +
+                   catalog.name(keyword));
+      expect_same_rules(pruned, expected_all);
     }
   }
 }

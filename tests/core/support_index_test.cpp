@@ -1,8 +1,8 @@
-// SupportIndex is the hoisted, read-only replacement for rebuilding
-// MiningResult::support_map() at every rule-stage call site. Its counts
-// must agree with the database oracle (TransactionDb::support_count) on
-// every mined itemset, and its contingency builder must hand
-// measures.hpp exactly the counts the database would.
+// SupportIndex is the one read-only support lookup, built once and
+// shared by every rule-stage call site. Its counts must agree with the
+// database oracle (TransactionDb::support_count) on every mined
+// itemset, and its contingency builder must hand measures.hpp exactly
+// the counts the database would.
 #include "core/support_index.hpp"
 
 #include <gtest/gtest.h>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -119,6 +120,32 @@ TEST(RequestHandler, ReloadWithoutPathFailsClosed) {
   EXPECT_NE(stats.body.find("\"reloads\":1,\"reload_failures\":1"),
             std::string::npos)
       << stats.body;
+}
+
+TEST(RequestHandler, ReloadOfOversizedHeaderFailsClosed) {
+  // A 28-byte header claiming a 1 TiB payload: the reload must fail with
+  // a 500, be counted, and leave the serving engine in place.
+  const std::string path = ::testing::TempDir() + "/gpumine_oversized.snap";
+  // Magic, version 2, payload size 2^40 (byte 5 of the little-endian
+  // u64 at offset 12), checksum 0.
+  std::string header(28, '\0');
+  header.replace(0, 8, "GPMSNAP2");
+  header[8] = 2;
+  header[12 + 5] = 1;
+  std::ofstream(path, std::ios::binary) << header;
+  auto engine = engine_fixture();
+  RequestHandler handler(engine, path);
+  const HttpResponse response = handler.handle("POST", "/reload");
+  EXPECT_EQ(response.status, 500);
+  EXPECT_NE(response.body.find("payload"), std::string::npos) << response.body;
+  EXPECT_EQ(handler.engine().get(), engine.get());
+  const HttpResponse stats = handler.handle("GET", "/stats");
+  EXPECT_NE(stats.body.find("\"reloads\":1,\"reload_failures\":1"),
+            std::string::npos)
+      << stats.body;
+  const HttpResponse query = handler.handle("GET", "/query?keyword=Failed");
+  EXPECT_EQ(query.status, 200);
+  EXPECT_EQ(query.body, *engine->query_json("Failed"));
 }
 
 TEST(RequestHandler, ReloadSwapsInTheNewSnapshot) {
