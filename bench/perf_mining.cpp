@@ -140,7 +140,7 @@ void run_scheduler_experiment(std::size_t num_txns = 20000) {
       "\"speedup_vs_toplevel\":%.3f,\"metrics\":%s}\n",
       db.size(), hw, threads, mined.itemsets.size(), serial_ms, toplevel_ms,
       recursive_ms, serial_ms / recursive_ms, toplevel_ms / recursive_ms,
-      mined.metrics.to_json().c_str());
+      render_json(mined.metrics).c_str());
   std::fflush(stdout);
 }
 

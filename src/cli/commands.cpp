@@ -12,8 +12,10 @@
 #include <csignal>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "analysis/report.hpp"
@@ -26,7 +28,6 @@
 #include "analysis/classifier.hpp"
 #include "analysis/export.hpp"
 #include "core/closed.hpp"
-#include "core/metrics_export.hpp"
 #include "core/snapshot.hpp"
 #include "prep/csv.hpp"
 #include "serve/handler.hpp"
@@ -67,6 +68,22 @@ struct RuleFlags {
   core::PruneParams pruning;
 };
 
+// Runs a params struct's own validate() after one more flag has been
+// copied into it, so an out-of-range value is reported against that
+// flag with the library's message; the CLI does not restate the ranges.
+template <typename Params>
+std::optional<Error> check_flag(const Params& params, const char* flag) {
+  try {
+    params.validate();
+  } catch (const std::invalid_argument& e) {
+    // Drop the source location GPUMINE_CHECK_ARG puts before the message.
+    const std::string what = e.what();
+    const std::size_t at = what.rfind("): ");
+    return Error{flag, at == std::string::npos ? what : what.substr(at + 3)};
+  }
+  return std::nullopt;
+}
+
 Result<RuleFlags> parse_rule_flags(const Args& args) {
   const auto min_lift = args.get_double("min-lift", 1.5);
   if (!min_lift.ok()) return min_lift.error();
@@ -78,9 +95,12 @@ Result<RuleFlags> parse_rule_flags(const Args& args) {
   if (!threads.ok()) return threads.error();
   RuleFlags flags;
   flags.rules.min_lift = min_lift.value();
+  if (auto bad = check_flag(flags.rules, "--min-lift")) return *bad;
   flags.rules.num_threads = static_cast<std::size_t>(threads.value());
   flags.pruning.c_lift = c_lift.value();
+  if (auto bad = check_flag(flags.pruning, "--c-lift")) return *bad;
   flags.pruning.c_supp = c_supp.value();
+  if (auto bad = check_flag(flags.pruning, "--c-supp")) return *bad;
   return flags;
 }
 
@@ -96,11 +116,17 @@ Result<LoadedTrace> load_trace(const Args& args) {
   if (!path.has_value() || path->empty()) {
     return Error{"--csv", "required: path to the trace CSV"};
   }
-  // Flags first: --threads drives the CSV parser's chunking too.
+  // Flags first: --threads drives the CSV parser's chunking too, and a
+  // rejected threshold should not cost a parse.
   const auto min_support = args.get_double("min-support", 0.05);
   if (!min_support.ok()) return min_support.error();
   const auto max_length = args.get_uint("max-length", 5);
   if (!max_length.ok()) return max_length.error();
+  core::MiningParams mining;
+  mining.min_support = min_support.value();
+  if (auto bad = check_flag(mining, "--min-support")) return *bad;
+  mining.max_length = static_cast<std::size_t>(max_length.value());
+  if (auto bad = check_flag(mining, "--max-length")) return *bad;
   const auto rule_flags = parse_rule_flags(args);
   if (!rule_flags.ok()) return rule_flags.error();
   const std::size_t threads = rule_flags.value().rules.num_threads;
@@ -118,8 +144,7 @@ Result<LoadedTrace> load_trace(const Args& args) {
                            .count();
   analysis::WorkflowConfig& config = loaded.config;
 
-  config.mining.min_support = min_support.value();
-  config.mining.max_length = static_cast<std::size_t>(max_length.value());
+  config.mining = mining;
   // Rule generation and the prep stages share the mining worker count.
   config.mining.num_threads = threads;
   config.prep_threads = threads;
@@ -470,7 +495,7 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
   LoadedTrace trace = std::move(loaded).value();
   auto mined = analysis::mine(std::move(trace.table), trace.config);
   mined.mined.metrics.prep_stage.csv_seconds = trace.csv_seconds;
-  if (stats) out << mined.mined.metrics.summary();
+  if (stats) out << render_stats(mined.mined.metrics);
   if (family == "closed") {
     mined.mined.itemsets = core::closed_itemsets(mined.mined);
   } else if (family == "maximal") {
@@ -579,7 +604,7 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
     result = std::move(mined.mined);
     result.metrics.prep_stage.csv_seconds = trace.csv_seconds;
     catalog = std::move(mined.prepared.catalog);
-    if (stats) out << result.metrics.summary();
+    if (stats) out << render_stats(result.metrics);
   }
 
   const auto keyword_id = catalog.find(keyword);
@@ -589,7 +614,7 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
   }
   const auto analysis = core::analyze_keyword(result, *keyword_id,
                                               config.rules, config.pruning);
-  if (stats) out << analysis.stage.summary();
+  if (stats) out << render_stats(analysis.stage);
   if (stats && session.active()) {
     out << "trace spans (per name, sorted):\n"
         << Tracer::instance().summary_table();
@@ -597,14 +622,13 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
   result.metrics.rule_stage = analysis.stage;
   if (!stats_json_path.empty()) {
     if (!write_text_file(stats_json_path,
-                         with_trace_spans(result.metrics.to_json()), err)) {
+                         with_trace_spans(render_json(result.metrics)), err)) {
       return 1;
     }
   }
   if (!metrics_out_path.empty()) {
     if (!write_metrics_file(metrics_out_path,
-                            core::render_prometheus(result.metrics), out,
-                            err)) {
+                            render_exposition(result.metrics), out, err)) {
       return 1;
     }
   }

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -104,9 +105,7 @@ std::string render_labels(const MetricLabels& labels,
   return out;
 }
 
-}  // namespace
-
-const char* to_string(MetricType type) {
+const char* type_name(MetricType type) {
   switch (type) {
     case MetricType::kCounter: return "counter";
     case MetricType::kGauge: return "gauge";
@@ -115,215 +114,240 @@ const char* to_string(MetricType type) {
   GPUMINE_ENSURE(false, "unknown MetricType");
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  GPUMINE_ENSURE(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                     std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-                         bounds_.end(),
-                 "histogram bounds must be strictly ascending");
-  buckets_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
+std::string format_real(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
 }
 
-void Histogram::observe(double v) {
-  // le buckets are inclusive: a value equal to a bound belongs to that
-  // bound's bucket, hence lower_bound.
-  const auto i = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::merge_bucket(std::size_t i, std::uint64_t n, double sum) {
-  GPUMINE_ENSURE(i <= bounds_.size(), "merge_bucket index out of range");
-  buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + sum,
-                                     std::memory_order_relaxed,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-MetricsRegistry::Series& MetricsRegistry::series_for(std::string_view name,
-                                                     std::string_view help,
-                                                     MetricType type,
-                                                     MetricLabels&& labels) {
-  GPUMINE_ENSURE(valid_metric_name(name),
-                 "invalid metric name: " + std::string(name));
-  std::sort(labels.begin(), labels.end());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    GPUMINE_ENSURE(valid_label_name(labels[i].first),
-                   "invalid label name: " + labels[i].first);
-    GPUMINE_ENSURE(i == 0 || labels[i - 1].first != labels[i].first,
-                   "duplicate label key: " + labels[i].first);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = families_.try_emplace(std::string(name));
-  Family& family = it->second;
-  if (inserted) {
-    family.type = type;
-    family.help = std::string(help);
-  } else {
-    GPUMINE_ENSURE(family.type == type,
-                   "metric re-registered with a different type: " +
-                       std::string(name));
-  }
-  for (auto& series : family.series) {
-    if (series->labels == labels) return *series;
-  }
-  auto series = std::make_unique<Series>();
-  series->labels = std::move(labels);
-  family.series.push_back(std::move(series));
-  return *family.series.back();
-}
-
-Counter& MetricsRegistry::counter(std::string_view name, std::string_view help,
-                                  MetricLabels labels) {
-  Series& s = series_for(name, help, MetricType::kCounter, std::move(labels));
-  if (!s.counter) s.counter = std::make_unique<Counter>();
-  return *s.counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
-                              MetricLabels labels) {
-  Series& s = series_for(name, help, MetricType::kGauge, std::move(labels));
-  if (!s.gauge) s.gauge = std::make_unique<Gauge>();
-  return *s.gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::string_view help,
-                                      std::vector<double> bounds,
-                                      MetricLabels labels) {
-  Series& s = series_for(name, help, MetricType::kHistogram, std::move(labels));
-  if (!s.histogram) {
-    s.histogram = std::make_unique<Histogram>(std::move(bounds));
-  } else {
-    GPUMINE_ENSURE(s.histogram->bounds() == bounds,
-                   "histogram re-registered with different bounds: " +
-                       std::string(name));
-  }
-  return *s.histogram;
-}
-
-void MetricsRegistry::add_collector(std::function<void()> update) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  collectors_.push_back(std::move(update));
-}
-
-RegistrySnapshot MetricsRegistry::snapshot() const {
-  // Collectors may register instruments (first scrape), so they run
-  // outside the registry lock.
-  std::vector<std::function<void()>> collectors;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    collectors = collectors_;
-  }
-  for (const auto& update : collectors) update();
-
-  RegistrySnapshot out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.families.reserve(families_.size());
-  for (const auto& [name, family] : families_) {
-    FamilySnapshot fam;
-    fam.name = name;
-    fam.help = family.help;
-    fam.type = family.type;
-    fam.series.reserve(family.series.size());
-    for (const auto& series : family.series) {
-      SeriesSnapshot s;
-      s.labels = series->labels;
-      if (series->counter) {
-        s.value = static_cast<double>(series->counter->value());
-      } else if (series->gauge) {
-        s.value = series->gauge->value();
-      } else if (series->histogram) {
-        const Histogram& h = *series->histogram;
-        s.histogram.bounds = h.bounds();
-        s.histogram.cumulative.resize(h.bounds().size() + 1);
-        std::uint64_t running = 0;
-        for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
-          running += h.bucket_count(i);
-          s.histogram.cumulative[i] = running;
-        }
-        s.histogram.sum = h.sum();
-        // A snapshot taken mid-observe could see count ahead of the
-        // bucket writes; the cumulative total is the consistent view.
-        s.histogram.count = running;
-      }
-      fam.series.push_back(std::move(s));
+void append_json_escaped(std::string& out, std::string_view v) {
+  for (char c : v) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
+    } else {
+      out += c;
     }
-    std::sort(fam.series.begin(), fam.series.end(),
-              [](const SeriesSnapshot& a, const SeriesSnapshot& b) {
-                return a.labels < b.labels;
-              });
-    out.families.push_back(std::move(fam));
   }
-  return out;  // std::map iteration order is already name-sorted
 }
 
-std::string MetricsRegistry::render_prometheus() const {
-  return snapshot().to_prometheus();
-}
-
-std::string RegistrySnapshot::to_prometheus() const {
+std::string join(std::span<const MetricValue> values, char separator) {
   std::string out;
-  for (const auto& fam : families) {
-    out += "# HELP ";
-    out += fam.name;
-    out += ' ';
-    append_escaped_help(out, fam.help);
-    out += '\n';
-    out += "# TYPE ";
-    out += fam.name;
-    out += ' ';
-    out += to_string(fam.type);
-    out += '\n';
-    for (const auto& s : fam.series) {
-      if (fam.type == MetricType::kHistogram) {
-        for (std::size_t i = 0; i < s.histogram.cumulative.size(); ++i) {
-          std::pair<std::string, std::string> le{
-              "le", i < s.histogram.bounds.size()
-                        ? fmt_value(s.histogram.bounds[i])
-                        : "+Inf"};
-          out += fam.name;
-          out += "_bucket";
-          out += render_labels(s.labels, &le);
-          out += ' ';
-          out += fmt_value(static_cast<double>(s.histogram.cumulative[i]));
-          out += '\n';
-        }
-        out += fam.name;
-        out += "_sum";
-        out += render_labels(s.labels, nullptr);
-        out += ' ';
-        out += fmt_value(s.histogram.sum);
-        out += '\n';
-        out += fam.name;
-        out += "_count";
-        out += render_labels(s.labels, nullptr);
-        out += ' ';
-        out += fmt_value(static_cast<double>(s.histogram.count));
-        out += '\n';
-      } else {
-        out += fam.name;
-        out += render_labels(s.labels, nullptr);
-        out += ' ';
-        out += fmt_value(s.value);
-        out += '\n';
-      }
-    }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += separator;
+    out += values[i].to_string();
   }
   return out;
+}
+
+class JsonSink final : public MetricSink {
+ public:
+  [[nodiscard]] std::string str() const { return out_ + '}'; }
+
+ private:
+  void put_key(std::string_view key) {
+    if (!first_.back()) out_ += ',';
+    first_.back() = false;
+    if (key.empty()) return;  // an array element
+    out_ += '"';
+    append_json_escaped(out_, key);
+    out_ += "\":";
+  }
+  void on_value(std::string_view key, MetricValue value, const MetricFamily&,
+                const MetricLabels&) override {
+    if (key.empty()) return;
+    put_key(key);
+    out_ += value.to_string();
+  }
+  void on_list(std::string_view key, std::span<const MetricValue> values,
+               const MetricFamily&, std::string_view, std::size_t) override {
+    if (key.empty()) return;
+    put_key(key);
+    out_ += '[' + join(values, ',') + ']';
+  }
+  void on_text(std::string_view key, std::string_view value) override {
+    if (key.empty()) return;
+    put_key(key);
+    out_ += '"';
+    append_json_escaped(out_, value);
+    out_ += '"';
+  }
+  void on_open(std::string_view key, bool) override { open(key, '{'); }
+  void on_close() override { close('}'); }
+  void on_open_list(std::string_view key) override { open(key, '['); }
+  void on_close_list() override { close(']'); }
+  void open(std::string_view key, char bracket) {
+    put_key(key);
+    out_ += bracket;
+    first_.push_back(true);
+  }
+  void close(char bracket) {
+    out_ += bracket;
+    first_.pop_back();
+  }
+
+  std::string out_ = "{";
+  std::vector<bool> first_{true};  // per open object or array
+};
+
+class TextSink final : public MetricSink {
+ public:
+  [[nodiscard]] const std::string& str() const { return out_; }
+
+ private:
+  [[nodiscard]] bool shown() const {
+    return std::find(shown_.begin(), shown_.end(), false) == shown_.end();
+  }
+  void line(std::string_view key, const std::string& value) {
+    if (key.empty() || !shown()) return;
+    out_ += "  ";
+    out_ += key;
+    out_ += ':';
+    if (!value.empty()) out_ += ' ' + value;
+    out_ += '\n';
+  }
+  void on_title(std::string_view text) override {
+    if (!shown()) return;
+    out_ += text;
+    out_ += ":\n";
+  }
+  void on_value(std::string_view key, MetricValue value, const MetricFamily&,
+                const MetricLabels&) override {
+    line(key, value.to_string());
+  }
+  void on_list(std::string_view key, std::span<const MetricValue> values,
+               const MetricFamily&, std::string_view, std::size_t) override {
+    line(key, join(values, ' '));
+  }
+  void on_text(std::string_view key, std::string_view value) override {
+    line(key, std::string(value));
+  }
+  void on_open(std::string_view, bool ran) override { shown_.push_back(ran); }
+  void on_close() override { shown_.pop_back(); }
+
+  std::string out_;
+  std::vector<bool> shown_;  // per open struct
+};
+
+class Exposition final : public MetricSink {
+ public:
+  // Families sorted by name, each with its series sorted by labels.
+  [[nodiscard]] std::string render() const {
+    std::string out;
+    for (const auto& [name, family] : families_) {
+      out += "# HELP " + name + ' ';
+      append_escaped_help(out, family.help);
+      out += "\n# TYPE " + name + ' ' + type_name(family.type) + '\n';
+      for (const Series& s : family.series) {
+        const std::string labels = render_labels(s.labels, nullptr);
+        if (family.type != MetricType::kHistogram) {
+          out += name + labels + ' ' + fmt_value(s.value) + '\n';
+          continue;
+        }
+        for (std::size_t i = 0; i < s.cumulative.size(); ++i) {
+          const std::pair<std::string, std::string> le{
+              "le", i < s.bounds.size() ? fmt_value(s.bounds[i]) : "+Inf"};
+          out += name + "_bucket" + render_labels(s.labels, &le) + ' ' +
+                 fmt_value(static_cast<double>(s.cumulative[i])) + '\n';
+        }
+        out += name + "_sum" + labels + ' ' + fmt_value(s.sum) + '\n';
+        out += name + "_count" + labels + ' ' +
+               fmt_value(static_cast<double>(s.cumulative.back())) + '\n';
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Series {
+    MetricLabels labels;  // key-sorted
+    double value = 0.0;
+    // Histograms only: bounds without +Inf, cumulative counts with it.
+    std::vector<double> bounds;
+    std::vector<std::uint64_t> cumulative;
+    double sum = 0.0;
+  };
+  struct Family {
+    MetricType type = MetricType::kGauge;
+    std::string help;
+    std::vector<Series> series;  // label-sorted
+  };
+
+  Series& add(const MetricFamily& family, MetricLabels labels) {
+    std::sort(labels.begin(), labels.end());
+    Family& f = families_[std::string(family.name)];
+    f.type = family.type;
+    f.help = std::string(family.help);
+    const auto at = std::lower_bound(
+        f.series.begin(), f.series.end(), labels,
+        [](const Series& s, const MetricLabels& l) { return s.labels < l; });
+    Series series;
+    series.labels = std::move(labels);
+    return *f.series.insert(at, std::move(series));
+  }
+  void on_value(std::string_view, MetricValue value,
+                const MetricFamily& family,
+                const MetricLabels& labels) override {
+    if (!family.name.empty()) add(family, labels).value = value.as_double();
+  }
+  void on_list(std::string_view, std::span<const MetricValue> values,
+               const MetricFamily& family, std::string_view label,
+               std::size_t first) override {
+    if (family.name.empty()) return;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      add(family, {{std::string(label), std::to_string(first + i)}}).value =
+          values[i].as_double();
+    }
+  }
+  void on_histogram(const MetricFamily& family, const MetricLabels& labels,
+                    std::span<const double> bounds,
+                    std::span<const std::uint64_t> counts,
+                    double sum) override {
+    GPUMINE_ENSURE(counts.size() == bounds.size() + 1,
+                   "histogram needs one count per bound plus +Inf");
+    Series& series = add(family, labels);
+    series.bounds.assign(bounds.begin(), bounds.end());
+    std::uint64_t running = 0;
+    for (const std::uint64_t n : counts) {
+      series.cumulative.push_back(running += n);
+    }
+    series.sum = sum;
+  }
+
+  std::map<std::string, Family, std::less<>> families_;
+};
+
+}  // namespace
+
+std::string MetricValue::to_string() const {
+  return is_count_ ? std::to_string(count_) : format_real(real_);
+}
+
+std::string render_metrics(MetricFormat format,
+                           const std::function<void(MetricSink&)>& fields) {
+  switch (format) {
+    case MetricFormat::kJson: {
+      JsonSink sink;
+      fields(sink);
+      return sink.str();
+    }
+    case MetricFormat::kStats: {
+      TextSink sink;
+      fields(sink);
+      return sink.str();
+    }
+    case MetricFormat::kExposition: {
+      Exposition sink;
+      fields(sink);
+      return sink.render();
+    }
+  }
+  GPUMINE_ENSURE(false, "unknown MetricFormat");
 }
 
 namespace {

@@ -1,36 +1,34 @@
-// Unified metrics registry with Prometheus text exposition.
+// One metrics schema, three renderings.
 //
-// Instruments are the hot path: a Counter is one relaxed fetch_add, a
-// Gauge one relaxed store, a Histogram one bucket fetch_add plus a CAS
-// loop on the running sum — no locks anywhere on the recording side.
-// Registration (cold) takes a mutex and returns a reference that stays
-// valid for the registry's lifetime, so call sites register once and
-// cache the reference.
+// Every metrics struct has a free `describe(const T&, MetricSink&)` that
+// lists each of its fields once, in order: the JSON key and, for a field
+// that is exported, its Prometheus family (name, type, help) and labels.
+// Three sinks render that list:
 //
-// A registry is an instantiable object (the serve layer builds a fresh
-// one per scrape from its lock-free ServerMetrics snapshot; the CLI
-// builds one from MiningMetrics for `--metrics-out`); `instance()` is
-// the process-wide default for code that wants a shared sink.
-// Collectors registered with add_collector() run at snapshot time, so
-// adapters over existing metrics structs refresh their gauges exactly
-// when a scrape happens.
+//   * render_json(m)        one JSON object (`--stats-json`, `/stats`):
+//                           counts print as integers, reals as %.6g;
+//   * render_stats(m)       `--stats` text: a `title:` line per struct,
+//                           then one `key: value` line per field;
+//   * render_exposition(m)  Prometheus text exposition format 0.0.4
+//                           (`--metrics-out`, `/metrics`).
 //
-// snapshot() is deterministic: families sorted by name, series sorted
-// by their rendered label string — the series *set* of two registries
-// fed the same registrations is byte-identical regardless of thread
-// count or registration order. to_prometheus() renders text exposition
-// format 0.0.4 (`# HELP` / `# TYPE` before samples, histograms as
-// cumulative `_bucket`/`_sum`/`_count` with an explicit `+Inf` le).
-// validate_prometheus_text() is the matching self-contained lint used
-// by tests, `serve --check`, and the `metrics-check` subcommand.
+// An empty key leaves a field out of JSON and `--stats` (a series the
+// exposition derives from other fields); an empty family name leaves it
+// out of the exposition. A nested struct equal to a default-constructed
+// one (a stage that did not run) is hidden from `--stats` only.
+//
+// The exposition sorts families by name and series by their key-sorted
+// labels, so its output does not depend on the order in which fields
+// were listed; histograms render as cumulative `_bucket`/`_sum`/`_count`
+// with an explicit `+Inf` le. validate_prometheus_text() is the matching
+// self-contained lint used by tests, `serve --check`, and the
+// `metrics-check` subcommand.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,150 +40,151 @@ namespace gpumine {
 
 enum class MetricType { kCounter, kGauge, kHistogram };
 
-[[nodiscard]] const char* to_string(MetricType type);
+/// A Prometheus metric family. An empty name keeps a field out of the
+/// exposition.
+struct MetricFamily {
+  std::string_view name;
+  MetricType type = MetricType::kGauge;
+  std::string_view help;
+};
 
-/// Label set for one series; keys are sorted (and checked unique) at
-/// registration so identical label sets always compare equal.
+/// Label pairs of one series, in any order.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotone event count.
-class Counter {
+/// A field's value: a count, which JSON and `--stats` print as an
+/// integer, or a real, which they print as %.6g. Implicit, so describe()
+/// passes struct fields as they are.
+class MetricValue {
  public:
-  void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+  MetricValue(std::uint64_t count) : count_(count), is_count_(true) {}
+  MetricValue(double real) : real_(real) {}
+
+  [[nodiscard]] double as_double() const {
+    return is_count_ ? static_cast<double>(count_) : real_;
   }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::string to_string() const;
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t count_ = 0;
+  double real_ = 0.0;
+  bool is_count_ = false;
 };
 
-/// Last-write-wins instantaneous value.
-class Gauge {
+/// Receives a metrics struct's fields from its describe(). describe()
+/// calls the public members; each sink overrides the hooks it renders.
+class MetricSink {
  public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const {
-    return value_.load(std::memory_order_relaxed);
+  /// The `--stats` heading of the struct being described.
+  void title(std::string_view text) { on_title(text); }
+
+  /// A numeric field.
+  void value(std::string_view key, MetricValue value,
+             const MetricFamily& family = {},
+             const MetricLabels& labels = {}) {
+    on_value(key, value, family, labels);
   }
 
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Fixed-bound histogram: `bounds` are ascending bucket upper bounds;
-/// an implicit +Inf bucket catches everything above the last bound.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-
-  /// Bulk-load pre-aggregated data (adapter path): adds `n` observations
-  /// to bucket `i` (i == bounds().size() selects +Inf) and `sum` to the
-  /// running sum, without per-value bucketing. Lets adapters over
-  /// existing histogram structs (e.g. the serve LatencyHistogram)
-  /// export their buckets losslessly.
-  void merge_bucket(std::size_t i, std::uint64_t n, double sum);
-
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Non-cumulative count of bucket i (i == bounds().size() => +Inf).
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
+  /// A list field. In the exposition element i is the series labeled
+  /// `label`="first + i".
+  template <typename List>
+  void list(std::string_view key, const List& values,
+            const MetricFamily& family, std::string_view label,
+            std::size_t first = 0) {
+    const std::vector<MetricValue> copy(std::begin(values), std::end(values));
+    on_list(key, copy, family, label, first);
   }
 
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 slots
-  std::atomic<double> sum_{0.0};
-  std::atomic<std::uint64_t> count_{0};
+  /// A string field (JSON and `--stats` only).
+  void text(std::string_view key, std::string_view value) {
+    on_text(key, value);
+  }
+
+  /// A histogram (exposition only): counts[i] observations fell at or
+  /// below bounds[i]; the one extra last count is the +Inf bucket.
+  void histogram(const MetricFamily& family, const MetricLabels& labels,
+                 std::span<const double> bounds,
+                 std::span<const std::uint64_t> counts, double sum) {
+    on_histogram(family, labels, bounds, counts, sum);
+  }
+
+  /// A nested metrics struct under `key`; `--stats` hides it while it
+  /// equals a default-constructed one.
+  template <typename T>
+  void nested(std::string_view key, const T& metrics) {
+    on_open(key, !(metrics == T{}));
+    describe(metrics, *this);
+    on_close();
+  }
+
+  /// A list of nested metrics structs under `key`.
+  template <typename T>
+  void nested_list(std::string_view key, const std::vector<T>& items) {
+    on_open_list(key);
+    for (const T& item : items) {
+      on_open({}, true);
+      describe(item, *this);
+      on_close();
+    }
+    on_close_list();
+  }
+
+ protected:
+  ~MetricSink() = default;  // sinks live on the stack, never deleted here
+
+  virtual void on_title(std::string_view /*text*/) {}
+  virtual void on_value(std::string_view /*key*/, MetricValue /*value*/,
+                        const MetricFamily& /*family*/,
+                        const MetricLabels& /*labels*/) {}
+  virtual void on_list(std::string_view /*key*/,
+                       std::span<const MetricValue> /*values*/,
+                       const MetricFamily& /*family*/,
+                       std::string_view /*label*/, std::size_t /*first*/) {}
+  virtual void on_text(std::string_view /*key*/,
+                       std::string_view /*value*/) {}
+  virtual void on_histogram(const MetricFamily& /*family*/,
+                            const MetricLabels& /*labels*/,
+                            std::span<const double> /*bounds*/,
+                            std::span<const std::uint64_t> /*counts*/,
+                            double /*sum*/) {}
+  virtual void on_open(std::string_view /*key*/, bool /*ran*/) {}
+  virtual void on_close() {}
+  virtual void on_open_list(std::string_view /*key*/) {}
+  virtual void on_close_list() {}
 };
 
-/// Point-in-time copy of one histogram series.
-struct HistogramSnapshot {
-  std::vector<double> bounds;               // ascending, without +Inf
-  std::vector<std::uint64_t> cumulative;    // bounds+1 entries, last = count
-  double sum = 0.0;
-  std::uint64_t count = 0;
+/// The renderings of a field list.
+enum class MetricFormat {
+  kJson,        // one JSON object
+  kStats,       // `--stats` text
+  kExposition,  // Prometheus text exposition format 0.0.4
 };
 
-struct SeriesSnapshot {
-  MetricLabels labels;          // key-sorted
-  double value = 0.0;           // counter / gauge
-  HistogramSnapshot histogram;  // histogram only
-};
+/// Renders what `fields` lists into a fresh sink for `format`. The
+/// Exposition sink is single-threaded and built once per call.
+[[nodiscard]] std::string render_metrics(
+    MetricFormat format, const std::function<void(MetricSink&)>& fields);
 
-struct FamilySnapshot {
-  std::string name;
-  std::string help;
-  MetricType type = MetricType::kGauge;
-  std::vector<SeriesSnapshot> series;  // label-sorted
-};
+/// describe(metrics) as one JSON object (`--stats-json`, `/stats`).
+template <typename T>
+[[nodiscard]] std::string render_json(const T& metrics) {
+  return render_metrics(MetricFormat::kJson,
+                        [&](MetricSink& sink) { describe(metrics, sink); });
+}
 
-struct RegistrySnapshot {
-  std::vector<FamilySnapshot> families;  // name-sorted
+/// describe(metrics) as `--stats` text.
+template <typename T>
+[[nodiscard]] std::string render_stats(const T& metrics) {
+  return render_metrics(MetricFormat::kStats,
+                        [&](MetricSink& sink) { describe(metrics, sink); });
+}
 
-  /// Prometheus text exposition format 0.0.4.
-  [[nodiscard]] std::string to_prometheus() const;
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Process-wide default registry.
-  static MetricsRegistry& instance();
-
-  /// Registers (or finds) the series; the reference stays valid for the
-  /// registry's lifetime. Re-registering the same (name, labels) with a
-  /// different type or a conflicting label schema is a caller bug
-  /// (GPUMINE_ENSURE). Names must match [a-zA-Z_:][a-zA-Z0-9_:]*.
-  Counter& counter(std::string_view name, std::string_view help,
-                   MetricLabels labels = {});
-  Gauge& gauge(std::string_view name, std::string_view help,
-               MetricLabels labels = {});
-  Histogram& histogram(std::string_view name, std::string_view help,
-                       std::vector<double> bounds, MetricLabels labels = {});
-
-  /// Runs before every snapshot(): adapters over snapshot-style metrics
-  /// structs refresh their gauges here.
-  void add_collector(std::function<void()> update);
-
-  /// Deterministic copy: families name-sorted, series label-sorted.
-  [[nodiscard]] RegistrySnapshot snapshot() const;
-
-  /// snapshot().to_prometheus().
-  [[nodiscard]] std::string render_prometheus() const;
-
- private:
-  struct Series {
-    MetricLabels labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-  struct Family {
-    MetricType type = MetricType::kGauge;
-    std::string help;
-    std::vector<std::unique_ptr<Series>> series;
-  };
-
-  Series& series_for(std::string_view name, std::string_view help,
-                     MetricType type, MetricLabels&& labels);
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Family, std::less<>> families_;
-  std::vector<std::function<void()>> collectors_;
-};
+/// describe(metrics) as an exposition document (`--metrics-out`,
+/// `/metrics`).
+template <typename T>
+[[nodiscard]] std::string render_exposition(const T& metrics) {
+  return render_metrics(MetricFormat::kExposition,
+                        [&](MetricSink& sink) { describe(metrics, sink); });
+}
 
 /// Lints a text exposition document the way `promtool check metrics`
 /// would: every sample's family declares `# HELP` and `# TYPE` first,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <sstream>
 
 #include "common/ensure.hpp"
 #include "core/tidset.hpp"
@@ -32,37 +30,6 @@ void MiningParams::validate() const {
                     "spawn_cutoff_nodes must be >= 1");
 }
 
-bool PrepStageMetrics::populated() const {
-  return csv_seconds > 0.0 || binning_seconds > 0.0 || encode_seconds > 0.0 ||
-         dedup_seconds > 0.0 || input_transactions > 0;
-}
-
-std::string PrepStageMetrics::summary() const {
-  std::ostringstream out;
-  out << "prep stage:\n"
-      << "  csv parse:      " << csv_seconds * 1e3 << " ms\n"
-      << "  binning:        " << binning_seconds * 1e3 << " ms\n"
-      << "  encoding:       " << encode_seconds * 1e3 << " ms\n"
-      << "  dedup:          " << dedup_seconds * 1e3 << " ms\n"
-      << "  transactions:   " << input_transactions << " -> "
-      << distinct_transactions << " distinct";
-  if (dedup_ratio > 0.0) out << " (ratio " << dedup_ratio << ")";
-  out << "\n";
-  return out.str();
-}
-
-std::string PrepStageMetrics::to_json() const {
-  std::ostringstream out;
-  out << "{\"csv_seconds\":" << csv_seconds
-      << ",\"binning_seconds\":" << binning_seconds
-      << ",\"encode_seconds\":" << encode_seconds
-      << ",\"dedup_seconds\":" << dedup_seconds
-      << ",\"input_transactions\":" << input_transactions
-      << ",\"distinct_transactions\":" << distinct_transactions
-      << ",\"dedup_ratio\":" << dedup_ratio << "}";
-  return out.str();
-}
-
 void KernelMetrics::add(const KernelCounters& counters) {
   dense_intersections += counters.dense_intersections;
   sparse_intersections += counters.sparse_intersections;
@@ -75,189 +42,180 @@ void KernelMetrics::add(const KernelCounters& counters) {
   elements_merged += counters.elements_merged;
 }
 
-bool KernelMetrics::populated() const {
-  return !tier.empty() &&
-         (dense_intersections > 0 || sparse_intersections > 0 ||
-          mixed_intersections > 0 || diff_operations > 0 ||
-          dense_sets_built > 0 || sparse_sets_built > 0);
+namespace {
+
+constexpr MetricType kCounter = MetricType::kCounter;
+constexpr MetricType kGauge = MetricType::kGauge;
+
+}  // namespace
+
+void describe(const PrepStageMetrics& m, MetricSink& sink) {
+  const MetricFamily seconds{"gpumine_prep_stage_seconds", kGauge,
+                             "Preprocessing wall time, by stage"};
+  const MetricFamily transactions{"gpumine_prep_transactions", kGauge,
+                                  "Transactions through prep, by stage"};
+  sink.title("prep stage");
+  sink.value("csv_seconds", m.csv_seconds, seconds, {{"stage", "csv"}});
+  sink.value("binning_seconds", m.binning_seconds, seconds,
+             {{"stage", "binning"}});
+  sink.value("encode_seconds", m.encode_seconds, seconds,
+             {{"stage", "encode"}});
+  sink.value("dedup_seconds", m.dedup_seconds, seconds,
+             {{"stage", "dedup"}});
+  sink.value("input_transactions", m.input_transactions, transactions,
+             {{"kind", "input"}});
+  sink.value("distinct_transactions", m.distinct_transactions, transactions,
+             {{"kind", "distinct"}});
+  sink.value("dedup_ratio", m.dedup_ratio,
+             {"gpumine_prep_dedup_ratio", kGauge,
+              "input / distinct transactions (1.0 = no duplication)"});
 }
 
-std::string KernelMetrics::summary() const {
-  std::ostringstream out;
-  out << "kernel stage:\n"
-      << "  dispatch tier:  " << tier << "\n"
-      << "  intersections:  " << dense_intersections << " dense, "
-      << sparse_intersections << " sparse, " << mixed_intersections
-      << " mixed\n"
-      << "  diffsets:       " << diffset_switches << " class switches, "
-      << diff_operations << " differences\n"
-      << "  sets built:     " << dense_sets_built << " dense, "
-      << sparse_sets_built << " sparse\n"
-      << "  kernel traffic: " << words_scanned << " words scanned, "
-      << elements_merged << " elements merged\n";
-  return out.str();
+void describe(const KernelMetrics& m, MetricSink& sink) {
+  const MetricFamily intersections{
+      "gpumine_kernel_intersections_total", kCounter,
+      "Tid-set intersections, by representation pairing"};
+  const MetricFamily sets_built{
+      "gpumine_kernel_sets_built_total", kCounter,
+      "Result tid-sets materialized, by representation"};
+  sink.title("kernel stage");
+  sink.text("tier", m.tier);
+  sink.value("", 1.0,
+             {"gpumine_kernel_tier_info", kGauge,
+              "Constant 1, labeled with the kernel dispatch tier of the run"},
+             {{"tier", m.tier.empty() ? "none" : m.tier}});
+  sink.value("dense_intersections", m.dense_intersections, intersections,
+             {{"kind", "dense"}});
+  sink.value("sparse_intersections", m.sparse_intersections, intersections,
+             {{"kind", "sparse"}});
+  sink.value("mixed_intersections", m.mixed_intersections, intersections,
+             {{"kind", "mixed"}});
+  sink.value("diff_operations", m.diff_operations,
+             {"gpumine_kernel_diff_operations_total", kCounter,
+              "dEclat set-difference kernel calls"});
+  sink.value("diffset_switches", m.diffset_switches,
+             {"gpumine_kernel_diffset_switches_total", kCounter,
+              "Equivalence classes flipped to diffset representation"});
+  sink.value("dense_sets_built", m.dense_sets_built, sets_built,
+             {{"kind", "dense"}});
+  sink.value("sparse_sets_built", m.sparse_sets_built, sets_built,
+             {{"kind", "sparse"}});
+  sink.value("words_scanned", m.words_scanned,
+             {"gpumine_kernel_words_scanned_total", kCounter,
+              "64-bit words read by dense kernels"});
+  sink.value("elements_merged", m.elements_merged,
+             {"gpumine_kernel_elements_merged_total", kCounter,
+              "List elements read by sparse merges"});
 }
 
-std::string KernelMetrics::to_json() const {
-  std::ostringstream out;
-  out << "{\"tier\":\"" << tier << "\""
-      << ",\"dense_intersections\":" << dense_intersections
-      << ",\"sparse_intersections\":" << sparse_intersections
-      << ",\"mixed_intersections\":" << mixed_intersections
-      << ",\"diff_operations\":" << diff_operations
-      << ",\"diffset_switches\":" << diffset_switches
-      << ",\"dense_sets_built\":" << dense_sets_built
-      << ",\"sparse_sets_built\":" << sparse_sets_built
-      << ",\"words_scanned\":" << words_scanned
-      << ",\"elements_merged\":" << elements_merged << "}";
-  return out.str();
+void describe(const PartitionMetrics& m, MetricSink& sink) {
+  const MetricFamily rows{"gpumine_son_rows", kGauge,
+                          "Rows entering the partitioned engine"};
+  const MetricFamily pass_seconds{"gpumine_son_pass_seconds", kGauge,
+                                  "Wall time per SON pass"};
+  sink.title("partition stage (SON)");
+  sink.value("num_partitions", m.num_partitions,
+             {"gpumine_son_partitions", kGauge, "Pass-1 slices mined"});
+  sink.value("num_threads", m.num_threads);
+  sink.list("partition_itemsets", m.partition_itemsets,
+            {"gpumine_son_partition_itemsets", kGauge,
+             "Locally frequent itemsets per partition"},
+            "partition");
+  sink.value("input_rows", m.input_rows, rows, {{"kind", "input"}});
+  sink.value("distinct_rows", m.distinct_rows, rows, {{"kind", "distinct"}});
+  sink.value("candidates", m.candidates,
+             {"gpumine_son_candidates", kGauge,
+              "Union of locally frequent itemsets"});
+  sink.value("verified", m.verified,
+             {"gpumine_son_verified", kGauge,
+              "Candidates confirmed globally frequent"});
+  sink.value("false_candidate_rate", m.false_candidate_rate,
+             {"gpumine_son_false_candidate_rate", kGauge,
+              "Fraction of candidates that failed global verification"});
+  sink.value("verify_shards", m.verify_shards,
+             {"gpumine_son_verify_shards", kGauge, "Pass-2 counting chunks"});
+  sink.value("pass1_seconds", m.pass1_seconds, pass_seconds,
+             {{"pass", "1"}});
+  sink.value("pass2_seconds", m.pass2_seconds, pass_seconds,
+             {{"pass", "2"}});
 }
 
-bool PartitionMetrics::populated() const {
-  return num_partitions > 0 || candidates > 0 || pass1_seconds > 0.0 ||
-         pass2_seconds > 0.0;
+void describe(const RuleStageMetrics& m, MetricSink& sink) {
+  const MetricFamily funnel{"gpumine_rules_funnel_total", kCounter,
+                            "Rule-stage funnel, by stage"};
+  const MetricFamily seconds{"gpumine_rules_stage_seconds", kGauge,
+                             "Rule-stage wall time, by phase"};
+  sink.title("rule stage");
+  sink.value("num_threads", m.num_threads,
+             {"gpumine_rules_threads", kGauge, "Rule-generation shard width"});
+  sink.value("itemsets_considered", m.itemsets_considered, funnel,
+             {{"stage", "itemsets_considered"}});
+  sink.value("candidate_rules", m.candidate_rules, funnel,
+             {{"stage", "candidates"}});
+  sink.value("rules_generated", m.rules_generated, funnel,
+             {{"stage", "generated"}});
+  sink.value("rules_kept", m.rules_kept, funnel, {{"stage", "kept"}});
+  sink.list("pruned_by_condition", m.pruned_by_condition,
+            {"gpumine_rules_pruned_total", kCounter,
+             "Rules removed, by interpretability pruning condition"},
+            "condition", /*first=*/1);
+  sink.value("prune_buckets", m.prune_buckets,
+             {"gpumine_rules_prune_buckets", kGauge,
+              "Buckets in the pruning candidate index"});
+  sink.value("prune_max_bucket", m.prune_max_bucket,
+             {"gpumine_rules_prune_max_bucket", kGauge,
+              "Largest single pruning-index bucket"});
+  sink.value("prune_pair_comparisons", m.prune_pair_comparisons,
+             {"gpumine_rules_prune_pair_comparisons_total", kCounter,
+              "Nested-pair subset tests performed while pruning"});
+  sink.value("generation_seconds", m.generation_seconds, seconds,
+             {{"phase", "generation"}});
+  sink.value("prune_seconds", m.prune_seconds, seconds,
+             {{"phase", "prune"}});
 }
 
-std::string PartitionMetrics::summary() const {
-  std::ostringstream out;
-  out << "partition stage (SON):\n"
-      << "  partitions:     " << num_partitions << " (threads "
-      << num_threads << ")\n"
-      << "  rows:           " << input_rows << " -> " << distinct_rows
-      << " distinct after per-partition dedup\n"
-      << "  local itemsets:";
-  for (std::uint64_t n : partition_itemsets) out << " " << n;
-  out << "\n"
-      << "  candidates:     " << candidates << " -> " << verified
-      << " verified (false-candidate rate " << false_candidate_rate << ")\n"
-      << "  pass 1:         " << pass1_seconds * 1e3 << " ms\n"
-      << "  pass 2:         " << pass2_seconds * 1e3 << " ms ("
-      << verify_shards << " shards)\n";
-  return out.str();
-}
-
-std::string PartitionMetrics::to_json() const {
-  std::ostringstream out;
-  out << "{\"num_partitions\":" << num_partitions
-      << ",\"num_threads\":" << num_threads << ",\"partition_itemsets\":[";
-  for (std::size_t i = 0; i < partition_itemsets.size(); ++i) {
-    if (i > 0) out << ",";
-    out << partition_itemsets[i];
-  }
-  out << "],\"input_rows\":" << input_rows
-      << ",\"distinct_rows\":" << distinct_rows
-      << ",\"candidates\":" << candidates << ",\"verified\":" << verified
-      << ",\"false_candidate_rate\":" << false_candidate_rate
-      << ",\"verify_shards\":" << verify_shards
-      << ",\"pass1_seconds\":" << pass1_seconds
-      << ",\"pass2_seconds\":" << pass2_seconds << "}";
-  return out.str();
-}
-
-bool RuleStageMetrics::populated() const {
-  return candidate_rules > 0 || rules_generated > 0 ||
-         generation_seconds > 0.0 || prune_seconds > 0.0;
-}
-
-std::string RuleStageMetrics::summary() const {
-  std::ostringstream out;
-  out << "rule stage:\n"
-      << "  threads:        " << num_threads << "\n"
-      << "  itemsets >= 2:  " << itemsets_considered << "\n"
-      << "  splits tried:   " << candidate_rules << "\n"
-      << "  generated:      " << rules_generated << " ("
-      << generation_seconds * 1e3 << " ms)\n"
-      << "  pruning:        kept " << rules_kept << " ("
-      << prune_seconds * 1e3 << " ms)\n"
-      << "  pruned by cond: 1:" << pruned_by_condition[0]
-      << " 2:" << pruned_by_condition[1] << " 3:" << pruned_by_condition[2]
-      << " 4:" << pruned_by_condition[3] << "\n"
-      << "  prune buckets:  " << prune_buckets << " (max "
-      << prune_max_bucket << ", " << prune_pair_comparisons
-      << " pair tests)\n";
-  return out.str();
-}
-
-std::string RuleStageMetrics::to_json() const {
-  std::ostringstream out;
-  out << "{\"num_threads\":" << num_threads
-      << ",\"itemsets_considered\":" << itemsets_considered
-      << ",\"candidate_rules\":" << candidate_rules
-      << ",\"rules_generated\":" << rules_generated
-      << ",\"rules_kept\":" << rules_kept << ",\"pruned_by_condition\":["
-      << pruned_by_condition[0] << "," << pruned_by_condition[1] << ","
-      << pruned_by_condition[2] << "," << pruned_by_condition[3] << "]"
-      << ",\"prune_buckets\":" << prune_buckets
-      << ",\"prune_max_bucket\":" << prune_max_bucket
-      << ",\"prune_pair_comparisons\":" << prune_pair_comparisons
-      << ",\"generation_seconds\":" << generation_seconds
-      << ",\"prune_seconds\":" << prune_seconds << "}";
-  return out.str();
-}
-
-std::string MiningMetrics::summary() const {
-  std::ostringstream out;
-  out << "mining stats:\n"
-      << "  workers:        " << num_workers << "\n"
-      << "  wall time:      " << wall_seconds * 1e3 << " ms\n"
-      << "  tasks spawned:  " << tasks_spawned << "\n"
-      << "  tasks stolen:   " << tasks_stolen << "\n"
-      << "  peak queue len: " << peak_queue_length << "\n";
-  if (peak_arena_bytes > 0) {
-    out << "  arena bytes:    " << arena_bytes_allocated << " allocated, "
-        << arena_bytes_reused << " reused, peak " << peak_arena_bytes << "\n"
-        << "  tree nodes:     peak " << peak_tree_nodes << " resident, "
-        << child_probe_count << " child probes\n";
-  }
-  if (!worker_busy_seconds.empty()) {
-    const double total = std::accumulate(worker_busy_seconds.begin(),
-                                         worker_busy_seconds.end(), 0.0);
-    double busiest = 0.0;
-    for (double s : worker_busy_seconds) busiest = std::max(busiest, s);
-    out << "  busy time:      " << total * 1e3 << " ms total, busiest worker "
-        << busiest * 1e3 << " ms\n";
-  }
-  if (!depth_histogram.empty()) {
-    out << "  tree depth:     ";
-    for (std::size_t d = 0; d < depth_histogram.size(); ++d) {
-      if (d > 0) out << " ";
-      out << d << ":" << depth_histogram[d];
-    }
-    out << "\n";
-  }
-  if (prep_stage.populated()) out << prep_stage.summary();
-  if (kernel_stage.populated()) out << kernel_stage.summary();
-  if (partition_stage.populated()) out << partition_stage.summary();
-  if (rule_stage.populated()) out << rule_stage.summary();
-  return out.str();
-}
-
-std::string MiningMetrics::to_json() const {
-  std::ostringstream out;
-  out << "{\"num_workers\":" << num_workers
-      << ",\"tasks_spawned\":" << tasks_spawned
-      << ",\"tasks_stolen\":" << tasks_stolen
-      << ",\"peak_queue_length\":" << peak_queue_length
-      << ",\"arena_bytes_allocated\":" << arena_bytes_allocated
-      << ",\"arena_bytes_reused\":" << arena_bytes_reused
-      << ",\"peak_arena_bytes\":" << peak_arena_bytes
-      << ",\"peak_tree_nodes\":" << peak_tree_nodes
-      << ",\"child_probe_count\":" << child_probe_count
-      << ",\"wall_seconds\":" << wall_seconds << ",\"worker_busy_seconds\":[";
-  for (std::size_t i = 0; i < worker_busy_seconds.size(); ++i) {
-    if (i > 0) out << ",";
-    out << worker_busy_seconds[i];
-  }
-  out << "],\"depth_histogram\":[";
-  for (std::size_t i = 0; i < depth_histogram.size(); ++i) {
-    if (i > 0) out << ",";
-    out << depth_histogram[i];
-  }
-  out << "],\"prep_stage\":" << prep_stage.to_json()
-      << ",\"kernel_stage\":" << kernel_stage.to_json()
-      << ",\"partition_stage\":" << partition_stage.to_json()
-      << ",\"rule_stage\":" << rule_stage.to_json() << "}";
-  return out.str();
+void describe(const MiningMetrics& m, MetricSink& sink) {
+  const MetricFamily tasks{"gpumine_mining_tasks_total", kCounter,
+                           "Scheduler tasks, by disposition"};
+  const MetricFamily arena{"gpumine_mining_arena_bytes_total", kCounter,
+                           "FP-tree arena traffic, by source"};
+  sink.title("mining stats");
+  sink.value("num_workers", m.num_workers,
+             {"gpumine_mining_workers", kGauge,
+              "Scheduler width of the mining run"});
+  sink.value("tasks_spawned", m.tasks_spawned, tasks, {{"kind", "spawned"}});
+  sink.value("tasks_stolen", m.tasks_stolen, tasks, {{"kind", "stolen"}});
+  sink.value("peak_queue_length", m.peak_queue_length,
+             {"gpumine_mining_peak_queue_length", kGauge,
+              "Deepest worker deque observed during the run"});
+  sink.value("arena_bytes_allocated", m.arena_bytes_allocated, arena,
+             {{"kind", "allocated"}});
+  sink.value("arena_bytes_reused", m.arena_bytes_reused, arena,
+             {{"kind", "reused"}});
+  sink.value("peak_arena_bytes", m.peak_arena_bytes,
+             {"gpumine_mining_peak_arena_bytes", kGauge,
+              "Peak bytes resident across pooled arenas"});
+  sink.value("peak_tree_nodes", m.peak_tree_nodes,
+             {"gpumine_mining_peak_tree_nodes", kGauge,
+              "Max FP-tree nodes resident at once"});
+  sink.value("child_probe_count", m.child_probe_count,
+             {"gpumine_mining_child_probes_total", kCounter,
+              "Child-table slots probed inserting tree nodes"});
+  sink.value("wall_seconds", m.wall_seconds,
+             {"gpumine_mining_wall_seconds", kGauge,
+              "End-to-end mining wall time"});
+  sink.list("worker_busy_seconds", m.worker_busy_seconds,
+            {"gpumine_mining_worker_busy_seconds", kGauge,
+             "Per-worker task execution time"},
+            "worker");
+  sink.list("depth_histogram", m.depth_histogram,
+            {"gpumine_mining_recursion_depth_total", kCounter,
+             "Conditional trees mined, by recursion depth"},
+            "depth");
+  sink.nested("prep_stage", m.prep_stage);
+  sink.nested("kernel_stage", m.kernel_stage);
+  sink.nested("partition_stage", m.partition_stage);
+  sink.nested("rule_stage", m.rule_stage);
 }
 
 void sort_canonical(std::vector<FrequentItemset>& itemsets) {

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "core/itemset.hpp"
 
 namespace gpumine::core {
@@ -80,14 +81,7 @@ struct PrepStageMetrics {
   /// input / distinct; 1.0 = no duplication, 0 until dedup has run.
   double dedup_ratio = 0.0;
 
-  /// True once any prep-stage work has been recorded.
-  [[nodiscard]] bool populated() const;
-
-  /// Human-readable block appended to MiningMetrics::summary().
-  [[nodiscard]] std::string summary() const;
-
-  /// Single-line JSON object (embedded by MiningMetrics::to_json).
-  [[nodiscard]] std::string to_json() const;
+  bool operator==(const PrepStageMetrics&) const = default;
 };
 
 /// Observability counters for the downstream rule stage — rule
@@ -113,14 +107,7 @@ struct RuleStageMetrics {
   double generation_seconds = 0.0;  // generate_rules wall time
   double prune_seconds = 0.0;       // prune_rules wall time
 
-  /// True once any rule-stage work has been recorded.
-  [[nodiscard]] bool populated() const;
-
-  /// Human-readable block appended to MiningMetrics::summary().
-  [[nodiscard]] std::string summary() const;
-
-  /// Single-line JSON object (embedded by MiningMetrics::to_json).
-  [[nodiscard]] std::string to_json() const;
+  bool operator==(const RuleStageMetrics&) const = default;
 };
 
 /// Observability for the two-pass partitioned SON engine
@@ -145,14 +132,7 @@ struct PartitionMetrics {
   double pass1_seconds = 0.0;       // slice + dedup + local mining
   double pass2_seconds = 0.0;       // index build + count + reduce
 
-  /// True once a partitioned run has been recorded.
-  [[nodiscard]] bool populated() const;
-
-  /// Human-readable block appended to MiningMetrics::summary().
-  [[nodiscard]] std::string summary() const;
-
-  /// Single-line JSON object (embedded by MiningMetrics::to_json).
-  [[nodiscard]] std::string to_json() const;
+  bool operator==(const PartitionMetrics&) const = default;
 };
 
 struct KernelCounters;  // core/tidset.hpp
@@ -178,14 +158,7 @@ struct KernelMetrics {
   /// Accumulates one task's/chunk's kernel-layer counters.
   void add(const KernelCounters& counters);
 
-  /// True once any kernel work has been recorded.
-  [[nodiscard]] bool populated() const;
-
-  /// Human-readable block appended to MiningMetrics::summary().
-  [[nodiscard]] std::string summary() const;
-
-  /// Single-line JSON object (embedded by MiningMetrics::to_json).
-  [[nodiscard]] std::string to_json() const;
+  bool operator==(const KernelMetrics&) const = default;
 };
 
 /// Observability counters for one mining run, filled by the algorithms
@@ -225,13 +198,18 @@ struct MiningMetrics {
   /// Upstream preprocessing counters; zero unless the run came through
   /// the analysis workflow / CLI, which time the prep stages.
   PrepStageMetrics prep_stage;
-
-  /// Human-readable multi-line summary for `--stats`.
-  [[nodiscard]] std::string summary() const;
-
-  /// Single-line JSON object for machine consumption (bench trajectory).
-  [[nodiscard]] std::string to_json() const;
 };
+
+/// Each metrics struct's field list, which common/metrics.hpp renders as
+/// `--stats` text (render_stats), `--stats-json` (render_json) and the
+/// `mine --metrics-out` exposition (render_exposition). A stage block is
+/// left out of `--stats` while the stage equals a default-constructed
+/// one, i.e. did not run.
+void describe(const PrepStageMetrics& metrics, MetricSink& sink);
+void describe(const RuleStageMetrics& metrics, MetricSink& sink);
+void describe(const PartitionMetrics& metrics, MetricSink& sink);
+void describe(const KernelMetrics& metrics, MetricSink& sink);
+void describe(const MiningMetrics& metrics, MetricSink& sink);
 
 /// Lookup table from itemset to support count (behind SupportIndex and
 /// Apriori's candidate prune). Heterogeneous lookup via span avoids

@@ -10,7 +10,6 @@
 #include "common/log.hpp"
 #include "common/trace.hpp"
 #include "core/snapshot.hpp"
-#include "serve/prometheus.hpp"
 
 namespace gpumine::serve {
 namespace {
@@ -227,28 +226,14 @@ HttpResponse RequestHandler::route(std::string_view method,
     body += '}';
     return {200, "application/json", std::move(body)};
   }
-  if (path == "/stats") {
+  if (path == "/stats" || path == "/metrics") {
     const std::shared_ptr<const QueryEngine> engine = handle_.get();
-    std::string body = "{\"server\":" + metrics_.snapshot().to_json();
-    body += ",\"snapshot\":{\"db_size\":" + std::to_string(engine->db_size());
-    body += ",\"items\":" + std::to_string(engine->catalog().size());
-    body += ",\"itemsets\":" + std::to_string(engine->num_itemsets());
-    body += ",\"rules\":" + std::to_string(engine->num_rules());
-    body += ",\"keywords_with_rules\":" +
-            std::to_string(engine->num_keywords_with_rules());
-    body += "}}";
-    return {200, "application/json", std::move(body)};
-  }
-  if (path == "/metrics") {
-    const std::shared_ptr<const QueryEngine> engine = handle_.get();
-    SnapshotShape shape;
-    shape.db_size = engine->db_size();
-    shape.items = engine->catalog().size();
-    shape.itemsets = engine->num_itemsets();
-    shape.rules = engine->num_rules();
-    shape.keywords_with_rules = engine->num_keywords_with_rules();
-    return {200, kPrometheusContentType,
-            render_prometheus(metrics_.snapshot(), shape)};
+    const ServerStats stats{
+        metrics_.snapshot(),
+        {engine->db_size(), engine->catalog().size(), engine->num_itemsets(),
+         engine->num_rules(), engine->num_keywords_with_rules()}};
+    if (path == "/stats") return {200, "application/json", render_json(stats)};
+    return {200, kPrometheusContentType, render_exposition(stats)};
   }
   if (path == "/reload") {
     if (method != "POST" && method != "GET") {

@@ -1,7 +1,7 @@
 #include "serve/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace gpumine::serve {
 namespace {
@@ -10,10 +10,17 @@ double to_us(std::uint64_t nanos) {
   return static_cast<double>(nanos) * 1e-3;
 }
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+/// Prometheus `le` bounds (seconds) matching LatencyHistogram's log2
+/// nanosecond buckets: bucket i counts latencies with bit_width == i,
+/// upper bound 2^i - 1 ns. The saturating top bucket becomes +Inf.
+std::vector<double> latency_bounds_seconds() {
+  std::vector<double> bounds;
+  bounds.reserve(LatencyHistogram::kBuckets - 1);
+  for (std::size_t i = 0; i + 1 < LatencyHistogram::kBuckets; ++i) {
+    const std::uint64_t ub_ns = i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
+    bounds.push_back(static_cast<double>(ub_ns) / 1e9);
+  }
+  return bounds;
 }
 
 }  // namespace
@@ -115,29 +122,70 @@ MetricsSnapshot ServerMetrics::snapshot() const {
   return out;
 }
 
-std::string MetricsSnapshot::to_json() const {
-  std::string json = "{\"uptime_seconds\":" + fmt(uptime_seconds);
-  json += ",\"total_requests\":" + std::to_string(total_requests);
-  json += ",\"qps\":" + fmt(qps);
-  json += ",\"reloads\":" + std::to_string(reloads);
-  json += ",\"reload_failures\":" + std::to_string(reload_failures);
-  json += ",\"endpoints\":[";
-  for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    if (i > 0) json += ',';
-    const EndpointSnapshot& e = endpoints[i];
-    json += "{\"name\":\"" + e.name + "\"";
-    json += ",\"requests\":" + std::to_string(e.requests);
-    json += ",\"errors\":" + std::to_string(e.errors);
-    json += ",\"p50_us\":" + fmt(e.p50_us);
-    json += ",\"p95_us\":" + fmt(e.p95_us);
-    json += ",\"p99_us\":" + fmt(e.p99_us);
-    json += ",\"mean_us\":" + fmt(e.mean_us);
-    json += ",\"min_us\":" + fmt(e.min_us);
-    json += ",\"max_us\":" + fmt(e.max_us);
-    json += '}';
-  }
-  json += "]}";
-  return json;
+void describe(const EndpointSnapshot& e, MetricSink& sink) {
+  static const std::vector<double> bounds = latency_bounds_seconds();
+  const MetricLabels endpoint{{"endpoint", e.name}};
+  sink.text("name", e.name);
+  sink.value("requests", e.requests,
+             {"gpumine_server_requests_total", MetricType::kCounter,
+              "Requests handled, by endpoint"},
+             endpoint);
+  sink.value("errors", e.errors,
+             {"gpumine_server_errors_total", MetricType::kCounter,
+              "Non-2xx responses, by endpoint"},
+             endpoint);
+  sink.value("p50_us", e.p50_us);
+  sink.value("p95_us", e.p95_us);
+  sink.value("p99_us", e.p99_us);
+  sink.value("mean_us", e.mean_us);
+  sink.value("min_us", e.min_us);
+  sink.value("max_us", e.max_us);
+  sink.histogram({"gpumine_server_request_latency_seconds",
+                  MetricType::kHistogram, "Request wall time, by endpoint"},
+                 endpoint, bounds, e.bucket_counts,
+                 static_cast<double>(e.sum_ns) / 1e9);
+}
+
+void describe(const MetricsSnapshot& m, MetricSink& sink) {
+  const MetricFamily reloads{"gpumine_server_reloads_total",
+                             MetricType::kCounter,
+                             "Snapshot reload attempts, by result"};
+  sink.value("uptime_seconds", m.uptime_seconds,
+             {"gpumine_server_uptime_seconds", MetricType::kGauge,
+              "Seconds since the server started"});
+  sink.value("total_requests", m.total_requests);
+  sink.value("qps", m.qps);
+  sink.value("reloads", m.reloads);
+  sink.value("reload_failures", m.reload_failures, reloads,
+             {{"result", "error"}});
+  // The two counters are read separately, so a reload failing between
+  // the reads can show one more failure than attempts.
+  sink.value("", m.reloads - std::min(m.reloads, m.reload_failures), reloads,
+             {{"result", "ok"}});
+  sink.nested_list("endpoints", m.endpoints);
+}
+
+void describe(const SnapshotShape& shape, MetricSink& sink) {
+  sink.value("db_size", shape.db_size,
+             {"gpumine_snapshot_db_size", MetricType::kGauge,
+              "Transactions in the loaded rule snapshot"});
+  sink.value("items", shape.items,
+             {"gpumine_snapshot_items", MetricType::kGauge,
+              "Items in the loaded rule snapshot"});
+  sink.value("itemsets", shape.itemsets,
+             {"gpumine_snapshot_itemsets", MetricType::kGauge,
+              "Frequent itemsets in the loaded rule snapshot"});
+  sink.value("rules", shape.rules,
+             {"gpumine_snapshot_rules", MetricType::kGauge,
+              "Rules in the loaded rule snapshot"});
+  sink.value("keywords_with_rules", shape.keywords_with_rules,
+             {"gpumine_snapshot_keywords_with_rules", MetricType::kGauge,
+              "Keywords with at least one rule in the loaded snapshot"});
+}
+
+void describe(const ServerStats& stats, MetricSink& sink) {
+  sink.nested("server", stats.server);
+  sink.nested("snapshot", stats.snapshot);
 }
 
 }  // namespace gpumine::serve

@@ -11,8 +11,11 @@
 //
 // ServerMetrics aggregates one histogram per endpoint plus error and
 // reload counters; snapshot() returns a consistent-enough copy for
-// /stats (individual counters are exact, cross-counter skew is bounded
-// by in-flight requests).
+// /stats and /metrics (individual counters are exact, cross-counter skew
+// is bounded by in-flight requests). Both endpoints render a ServerStats
+// through the field lists below (common/metrics.hpp), so the exposition
+// is built per scrape from that copy and the serving path records into
+// nothing but these atomics.
 #pragma once
 
 #include <array>
@@ -22,6 +25,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/metrics.hpp"
 
 namespace gpumine::serve {
 
@@ -125,22 +130,51 @@ struct EndpointSnapshot {
   double min_us = 0.0;
   double max_us = 0.0;
   std::uint64_t sum_ns = 0;
-  // Raw per-bucket counts (LatencyHistogram layout), consumed by the
-  // Prometheus exporter; not part of the /stats JSON.
+  // Raw per-bucket counts (LatencyHistogram layout), exported as the
+  // /metrics latency histogram; not part of the /stats JSON.
   std::vector<std::uint64_t> bucket_counts;
+
+  bool operator==(const EndpointSnapshot&) const = default;
 };
 
 struct MetricsSnapshot {
   std::vector<EndpointSnapshot> endpoints;
   std::uint64_t total_requests = 0;
-  std::uint64_t reloads = 0;
+  std::uint64_t reloads = 0;  // every reload attempt, failed ones included
   std::uint64_t reload_failures = 0;
   double uptime_seconds = 0.0;
   double qps = 0.0;  // total_requests / uptime
 
-  /// Single-line JSON object (the /stats payload embeds it).
-  [[nodiscard]] std::string to_json() const;
+  bool operator==(const MetricsSnapshot&) const = default;
 };
+
+/// Shape of the currently loaded rule snapshot.
+struct SnapshotShape {
+  std::uint64_t db_size = 0;
+  std::uint64_t items = 0;
+  std::uint64_t itemsets = 0;
+  std::uint64_t rules = 0;
+  std::uint64_t keywords_with_rules = 0;
+
+  bool operator==(const SnapshotShape&) const = default;
+};
+
+/// Everything GET /stats (render_json) and GET /metrics
+/// (render_exposition) report.
+struct ServerStats {
+  MetricsSnapshot server;
+  SnapshotShape snapshot;
+};
+
+/// Field lists for common/metrics.hpp's sinks.
+void describe(const EndpointSnapshot& endpoint, MetricSink& sink);
+void describe(const MetricsSnapshot& metrics, MetricSink& sink);
+void describe(const SnapshotShape& shape, MetricSink& sink);
+void describe(const ServerStats& stats, MetricSink& sink);
+
+/// Content type for the /metrics response.
+inline constexpr const char* kPrometheusContentType =
+    "text/plain; version=0.0.4; charset=utf-8";
 
 class ServerMetrics {
  public:

@@ -124,12 +124,12 @@ TEST(Mine, SonEngineMatchesDirectAndFillsPartitionMetrics) {
   }
   EXPECT_EQ(son.mined.db_size, direct.mined.db_size);
   const auto& stage = son.mined.metrics.partition_stage;
-  EXPECT_TRUE(stage.populated());
+  EXPECT_NE(stage, core::PartitionMetrics{});
   EXPECT_EQ(stage.num_partitions, 3u);
   // Dedup accounting comes from the partition stage on the SON path.
   EXPECT_EQ(son.mined.metrics.prep_stage.distinct_transactions,
             stage.distinct_rows);
-  EXPECT_FALSE(direct.mined.metrics.partition_stage.populated());
+  EXPECT_EQ(direct.mined.metrics.partition_stage, core::PartitionMetrics{});
 }
 
 TEST(Analyze, UnknownKeywordThrowsWithHint) {

@@ -107,11 +107,25 @@ TEST(Cli, MineUnknownKeywordFailsCleanly) {
   EXPECT_NE(result.err.find("No Such Item"), std::string::npos);
 }
 
+// Out-of-range thresholds, each with the flag that carries it.
+const std::vector<std::pair<std::string, std::string>> kBadThresholds{
+    {"--c-lift", "0.5"}, {"--c-supp", "nan"}, {"--min-lift", "-1"},
+    {"--min-support", "0"}, {"--max-length", "0"}};
+
 TEST(Cli, MineMissingCsvFileIsError) {
   const auto result = run_cli(
       {"mine", "--csv", "/does/not/exist.csv", "--keyword", "Failed"});
   EXPECT_EQ(result.code, 2);
   EXPECT_NE(result.err.find("exist.csv"), std::string::npos);
+  // Thresholds are checked before the CSV is read: the error names the
+  // flag, not the file.
+  for (const auto& [flag, value] : kBadThresholds) {
+    const auto bad = run_cli({"mine", "--csv", "/does/not/exist.csv",
+                              "--keyword", "Failed", flag, value});
+    EXPECT_EQ(bad.code, 2) << flag;
+    EXPECT_EQ(bad.err.rfind(flag + ": ", 0), 0u) << bad.err;
+    EXPECT_EQ(bad.err.find("exist.csv"), std::string::npos) << bad.err;
+  }
 }
 
 TEST(Cli, MineOutputFormats) {
@@ -357,6 +371,12 @@ TEST(Cli, ItemsetsAlgorithmSelection) {
   }
   EXPECT_EQ(
       run_cli({"itemsets", "--csv", csv, "--algorithm", "magic"}).code, 2);
+  for (const char* min_support : {"0", "2"}) {
+    const auto bad = run_cli({"itemsets", "--csv", "/does/not/exist.csv",
+                              "--min-support", min_support});
+    EXPECT_EQ(bad.code, 2) << min_support;
+    EXPECT_EQ(bad.err.rfind("--min-support: ", 0), 0u) << bad.err;
+  }
 }
 
 TEST(Cli, ItemsetsEngineSelection) {
@@ -398,6 +418,30 @@ TEST(Cli, SnapshotValidation) {
                      "--out", temp_path("x.snap")})
                 .code,
             2);
+  // An out-of-range threshold is rejected before any input is read, and
+  // no snapshot is written that `serve` or `mine --load` would refuse.
+  const std::string out = temp_path("bad_params.snap");
+  for (const auto& [flag, value] : kBadThresholds) {
+    const auto bad = run_cli({"snapshot", "--csv", "/does/not/exist.csv",
+                              "--out", out, flag, value});
+    EXPECT_EQ(bad.code, 2) << flag;
+    EXPECT_EQ(bad.err.rfind(flag + ": ", 0), 0u) << bad.err;
+  }
+  const auto replay = run_cli({"snapshot", "--from-itemsets",
+                               "/no/such.itemsets", "--out", out, "--c-lift",
+                               "0.5"});
+  EXPECT_EQ(replay.code, 2);
+  EXPECT_EQ(replay.err.rfind("--c-lift: ", 0), 0u) << replay.err;
+  const std::string csv = temp_path("cli_bad_params.csv");
+  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "500", "--out",
+                     csv})
+                .code,
+            0);
+  EXPECT_EQ(
+      run_cli({"snapshot", "--csv", csv, "--out", out, "--c-lift", "0.5"})
+          .code,
+      2);
+  EXPECT_FALSE(std::ifstream(out).good());
 }
 
 TEST(Cli, SnapshotThenServeCheck) {

@@ -1,38 +1,31 @@
-// Metrics registry + Prometheus exposition: instrument semantics,
-// deterministic snapshots under concurrent registration, and the
+// The metric sinks (JSON, --stats text, Prometheus exposition) and the
 // self-contained exposition lint that serve --check / metrics-check run.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace gpumine {
 namespace {
 
-TEST(Counter, AddsMonotonically) {
-  MetricsRegistry registry;
-  Counter& c = registry.counter("test_total", "help");
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
+constexpr MetricType kCounter = MetricType::kCounter;
+const MetricFamily kSeconds{"test_seconds", MetricType::kHistogram, "help"};
+const std::vector<double> kBounds{0.1, 1.0};
+
+std::string exposition(const std::function<void(MetricSink&)>& fields) {
+  return render_metrics(MetricFormat::kExposition, fields);
 }
 
-TEST(Gauge, LastWriteWins) {
-  MetricsRegistry registry;
-  Gauge& g = registry.gauge("test_gauge", "help");
-  g.set(1.5);
-  g.set(-2.5);
-  EXPECT_DOUBLE_EQ(g.value(), -2.5);
-}
-
-TEST(RegistryHistogram, EmptyRendersZeroCountAndSum) {
-  MetricsRegistry registry;
-  registry.histogram("test_seconds", "help", {0.1, 1.0});
-  const std::string text = registry.render_prometheus();
+TEST(Exposition, EmptyHistogramRendersZeroCountSumAndInf) {
+  const std::vector<std::uint64_t> counts{0, 0, 0};
+  const std::string text = exposition([&](MetricSink& sink) {
+    sink.histogram(kSeconds, {}, kBounds, counts, 0.0);
+  });
   EXPECT_NE(text.find("test_seconds_count 0"), std::string::npos) << text;
   EXPECT_NE(text.find("test_seconds_sum 0"), std::string::npos) << text;
   EXPECT_NE(text.find("test_seconds_bucket{le=\"+Inf\"} 0"),
@@ -41,124 +34,125 @@ TEST(RegistryHistogram, EmptyRendersZeroCountAndSum) {
   EXPECT_TRUE(validate_prometheus_text(text).ok());
 }
 
-TEST(RegistryHistogram, SingleSampleLandsInItsBucketAndAllAbove) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("test_seconds", "help", {0.1, 1.0});
-  h.observe(0.5);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5);
-  const std::string text = registry.render_prometheus();
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"0.1\"} 0"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"1\"} 1"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"+Inf\"} 1"),
-            std::string::npos)
-      << text;
-}
-
-TEST(RegistryHistogram, BoundIsLeInclusive) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("test_seconds", "help", {0.1, 1.0});
-  h.observe(0.1);  // exactly the first bound: le-inclusive
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 0u);
-}
-
-TEST(RegistryHistogram, OverflowSaturatesIntoTheInfBucket) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("test_seconds", "help", {0.1, 1.0});
-  h.observe(1e12);
-  h.observe(1e12);
-  EXPECT_EQ(h.bucket_count(2), 2u);  // bounds.size() == +Inf slot
-  const std::string text = registry.render_prometheus();
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"1\"} 0"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"+Inf\"} 2"),
-            std::string::npos)
-      << text;
-  EXPECT_TRUE(validate_prometheus_text(text).ok());
-}
-
-TEST(MetricsRegistry, SameSeriesIsReturnedForSameNameAndLabels) {
-  MetricsRegistry registry;
-  Counter& a = registry.counter("t_total", "h", {{"k", "v"}});
-  Counter& b = registry.counter("t_total", "h", {{"k", "v"}});
-  EXPECT_EQ(&a, &b);
-  Counter& c = registry.counter("t_total", "h", {{"k", "w"}});
-  EXPECT_NE(&a, &c);
-}
-
-TEST(MetricsRegistry, LabelOrderDoesNotSplitSeries) {
-  MetricsRegistry registry;
-  Counter& a = registry.counter("t_total", "h", {{"a", "1"}, {"b", "2"}});
-  Counter& b = registry.counter("t_total", "h", {{"b", "2"}, {"a", "1"}});
-  EXPECT_EQ(&a, &b);
-}
-
-TEST(MetricsRegistry, CollectorsRunAtSnapshotTime) {
-  MetricsRegistry registry;
-  Gauge& g = registry.gauge("t_gauge", "h");
-  int calls = 0;
-  registry.add_collector([&] {
-    ++calls;
-    g.set(7.0);
+TEST(Exposition, HistogramBucketsAreCumulative) {
+  const std::vector<std::uint64_t> counts{1, 2, 3};  // last = +Inf
+  const std::string text = exposition([&](MetricSink& sink) {
+    sink.histogram(kSeconds, {{"k", "v"}}, kBounds, counts, 2.5);
   });
-  const auto snapshot = registry.snapshot();
-  EXPECT_EQ(calls, 1);
-  ASSERT_EQ(snapshot.families.size(), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.families[0].series[0].value, 7.0);
+  EXPECT_EQ(text,
+            "# HELP test_seconds help\n"
+            "# TYPE test_seconds histogram\n"
+            "test_seconds_bucket{k=\"v\",le=\"0.1\"} 1\n"
+            "test_seconds_bucket{k=\"v\",le=\"1\"} 3\n"
+            "test_seconds_bucket{k=\"v\",le=\"+Inf\"} 6\n"
+            "test_seconds_sum{k=\"v\"} 2.5\n"
+            "test_seconds_count{k=\"v\"} 6\n");
 }
 
-// The determinism bar from the issue: 8 threads registering overlapping
-// families in racing order must yield the same rendered series set as a
-// single thread doing the same work.
-TEST(MetricsRegistry, ConcurrentRegistrationRendersDeterministically) {
-  const auto exercise = [](MetricsRegistry& registry, int t) {
-    for (int i = 0; i < 16; ++i) {
-      registry
-          .counter("det_total", "racing counter",
-                   {{"worker", std::to_string((t + i) % 8)}})
-          .add();
-      registry
-          .gauge("det_gauge", "racing gauge",
-                 {{"worker", std::to_string((t * 3 + i) % 8)}})
-          .set(1.0);
-      registry
-          .histogram("det_seconds", "racing histogram", {0.5},
-                     {{"worker", std::to_string(i % 8)}})
-          .observe(0.25);
-    }
-  };
-
-  MetricsRegistry parallel;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&parallel, t, &exercise] { exercise(parallel, t); });
-  }
-  for (auto& thread : threads) thread.join();
-
-  MetricsRegistry serial;
-  for (int t = 0; t < 8; ++t) exercise(serial, t);
-
-  const std::string a = parallel.render_prometheus();
-  const std::string b = serial.render_prometheus();
-  EXPECT_EQ(a, b);
-  const auto linted = validate_prometheus_text(a);
-  ASSERT_TRUE(linted.ok()) << linted.error().to_string();
-  // 8 counters + 8 gauges + 8 histograms x (2 buckets + sum + count).
-  EXPECT_EQ(linted.value(), 48u);
+TEST(Exposition, LabelOrderIsNormalized) {
+  const std::string text = exposition([](MetricSink& sink) {
+    sink.value("", std::uint64_t{3}, {"t_total", kCounter, "h"},
+               {{"b", "2"}, {"a", "1"}});
+  });
+  EXPECT_NE(text.find("t_total{a=\"1\",b=\"2\"} 3\n"), std::string::npos)
+      << text;
 }
 
-TEST(PrometheusLint, AcceptsARenderedRegistry) {
-  MetricsRegistry registry;
-  registry.counter("ok_total", "a counter", {{"kind", "x"}}).add(3);
-  registry.gauge("ok_gauge", "a gauge").set(1.25);
-  registry.histogram("ok_seconds", "a histogram", {0.1, 1.0}).observe(0.2);
-  const auto linted = validate_prometheus_text(registry.render_prometheus());
+// Families sort by name and series by labels (as strings, so "10" comes
+// before "2"), whatever order the fields were listed in.
+TEST(Exposition, OutputDoesNotDependOnInsertionOrder) {
+  const MetricFamily gauge{"a_gauge", MetricType::kGauge, "g"};
+  const MetricFamily counter{"b_total", kCounter, "c"};
+  std::vector<std::uint64_t> per_worker(11);  // workers 0..10
+  std::iota(per_worker.begin(), per_worker.end(), 5);
+  const std::string text = exposition([&](MetricSink& sink) {
+    sink.value("", 1.5, gauge, {{"kind", "x"}});
+    sink.value("", 2.5, gauge, {{"kind", "y"}});
+    sink.list("", per_worker, counter, "worker");
+  });
+  const std::string reversed = exposition([&](MetricSink& sink) {
+    sink.list("", per_worker, counter, "worker");
+    sink.value("", 2.5, gauge, {{"kind", "y"}});
+    sink.value("", 1.5, gauge, {{"kind", "x"}});
+  });
+  EXPECT_EQ(text, reversed);
+  EXPECT_LT(text.find("a_gauge{kind=\"x\"}"),
+            text.find("a_gauge{kind=\"y\"}"));
+  EXPECT_LT(text.find("a_gauge"), text.find("b_total"));
+  EXPECT_LT(text.find("b_total{worker=\"10\"} 15"),
+            text.find("b_total{worker=\"2\"} 7"));
+}
+
+TEST(Exposition, RenderedTextLints) {
+  const std::vector<std::uint64_t> counts{0, 1, 0};
+  const std::string text = exposition([&](MetricSink& sink) {
+    sink.value("", std::uint64_t{3}, {"ok_total", kCounter, "a counter"},
+               {{"kind", "x"}});
+    sink.value("", 1.25, {"ok_gauge", MetricType::kGauge, "a gauge"});
+    sink.histogram({"ok_seconds", MetricType::kHistogram, "a histogram"}, {},
+                   kBounds, counts, 0.2);
+  });
+  const auto linted = validate_prometheus_text(text);
   ASSERT_TRUE(linted.ok()) << linted.error().to_string();
   // Histogram samples count per line: 3 buckets + sum + count.
   EXPECT_EQ(linted.value(), 7u);
+}
+
+// A two-level metrics struct, to pin what each sink takes from a field
+// list: keys go to JSON and --stats, families to the exposition, and a
+// nested struct at its defaults is left out of --stats only.
+struct Stage {
+  std::uint64_t runs = 0;
+  bool operator==(const Stage&) const = default;
+};
+
+void describe(const Stage& stage, MetricSink& sink) {
+  sink.title("stage");
+  sink.value("runs", stage.runs, {"t_runs_total", kCounter, "runs"});
+}
+
+struct Job {
+  double seconds = 0.0;
+  std::vector<std::uint64_t> per_worker;
+  std::string tier;
+  Stage stage;
+};
+
+void describe(const Job& job, MetricSink& sink) {
+  sink.title("job");
+  sink.value("seconds", job.seconds);
+  sink.value("", 2.0, {"t_derived", MetricType::kGauge, "derived"});
+  sink.list("per_worker", job.per_worker,
+            {"t_worker_total", kCounter, "per worker"}, "worker", 1);
+  sink.text("tier", job.tier);
+  sink.nested("stage", job.stage);
+}
+
+TEST(MetricSink, EachSinkRendersItsPartOfTheFieldList) {
+  Job job;
+  job.seconds = 1.0 / 3.0;
+  job.per_worker = {3, 4};
+  job.tier = "a\"b";
+  EXPECT_EQ(render_json(job),
+            "{\"seconds\":0.333333,\"per_worker\":[3,4],\"tier\":\"a\\\"b\","
+            "\"stage\":{\"runs\":0}}");
+  EXPECT_EQ(render_stats(job),
+            "job:\n  seconds: 0.333333\n  per_worker: 3 4\n  tier: a\"b\n");
+  job.stage.runs = 7;
+  EXPECT_EQ(render_stats(job),
+            "job:\n  seconds: 0.333333\n  per_worker: 3 4\n  tier: a\"b\n"
+            "stage:\n  runs: 7\n");
+  EXPECT_EQ(render_exposition(job),
+            "# HELP t_derived derived\n"
+            "# TYPE t_derived gauge\n"
+            "t_derived 2\n"
+            "# HELP t_runs_total runs\n"
+            "# TYPE t_runs_total counter\n"
+            "t_runs_total 7\n"
+            "# HELP t_worker_total per worker\n"
+            "# TYPE t_worker_total counter\n"
+            "t_worker_total{worker=\"1\"} 3\n"
+            "t_worker_total{worker=\"2\"} 4\n");
 }
 
 TEST(PrometheusLint, RejectsSamplesWithoutHelpOrType) {
@@ -255,9 +249,10 @@ TEST(PrometheusLint, CountsDistinctSeries) {
 }
 
 TEST(PrometheusRender, EscapesLabelValues) {
-  MetricsRegistry registry;
-  registry.gauge("esc_gauge", "h", {{"k", "a\"b\\c\nd"}}).set(1.0);
-  const std::string text = registry.render_prometheus();
+  const std::string text = exposition([](MetricSink& sink) {
+    sink.value("", 1.0, {"esc_gauge", MetricType::kGauge, "h"},
+               {{"k", "a\"b\\c\nd"}});
+  });
   EXPECT_NE(text.find("k=\"a\\\"b\\\\c\\nd\""), std::string::npos) << text;
   EXPECT_TRUE(validate_prometheus_text(text).ok());
 }

@@ -109,7 +109,7 @@ TEST(Partitioned, PartitionMetricsPopulated) {
   params.num_threads = 2;
   const auto result = mine_partitioned(db, params);
   const PartitionMetrics& stage = result.metrics.partition_stage;
-  ASSERT_TRUE(stage.populated());
+  ASSERT_NE(stage, PartitionMetrics{});
   EXPECT_EQ(stage.num_partitions, 4u);
   EXPECT_EQ(stage.partition_itemsets.size(), 4u);
   EXPECT_EQ(stage.input_rows, db.size());
@@ -120,14 +120,14 @@ TEST(Partitioned, PartitionMetricsPopulated) {
   EXPECT_LE(stage.false_candidate_rate, 1.0);
   EXPECT_GE(stage.verify_shards, 1u);
   // The stage renders into the stats summary and the metrics JSON.
-  EXPECT_NE(result.metrics.summary().find("partition stage"),
+  EXPECT_NE(render_stats(result.metrics).find("partition stage"),
             std::string::npos);
-  EXPECT_NE(result.metrics.to_json().find("\"partition_stage\""),
+  EXPECT_NE(render_json(result.metrics).find("\"partition_stage\""),
             std::string::npos);
-  // Direct FP-Growth leaves the block unpopulated (and unrendered).
+  // Direct FP-Growth leaves the block at its defaults (and unrendered).
   const auto direct = mine_fpgrowth(db, params.mining);
-  EXPECT_FALSE(direct.metrics.partition_stage.populated());
-  EXPECT_EQ(direct.metrics.summary().find("partition stage"),
+  EXPECT_EQ(direct.metrics.partition_stage, PartitionMetrics{});
+  EXPECT_EQ(render_stats(direct.metrics).find("partition stage"),
             std::string::npos);
 }
 

@@ -10,7 +10,6 @@
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "core/snapshot.hpp"
-#include "serve/prometheus.hpp"
 #include "serve_test_util.hpp"
 
 namespace gpumine::serve {

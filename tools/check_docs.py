@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (stdlib only; run from anywhere).
 
-Two classes of rot this catches:
+The classes of rot this catches:
 
 1. Broken relative links: every ``[text](path)`` in README.md and
    docs/*.md whose target is a repo-relative path must resolve to an
@@ -14,19 +14,23 @@ Two classes of rot this catches:
    examples/CMakeLists.txt, so documented examples always build.
 
 3. Undocumented metrics: every object key appearing (recursively) in
-   the stats fixture — real ``--stats-json`` output captured from the
-   binary, committed at tools/fixtures/stats_fixture.json and
-   regenerated from the freshly built binary by the CI bench-smoke
-   job — must appear backticked in docs/OBSERVABILITY.md. Adding a
-   metrics key without documenting it fails CI. Override the fixture
-   path with ``--stats-fixture PATH``.
+   the stats fixture must appear backticked in docs/OBSERVABILITY.md.
+   The committed fixture, tools/fixtures/stats_fixture.json, is the
+   ``--stats-json`` document and ``/stats`` body the golden test
+   (tests/serve/metrics_golden_test.cpp) renders with every field set,
+   so adding a metrics key without documenting it fails CI.
+   ``--stats-fixture PATH`` (repeatable) checks more documents, such as
+   a live binary's output, next to the committed one.
 
-4. Undocumented Prometheus series: every metric family declared by a
-   ``# TYPE <name> <type>`` line in the metrics fixture — real
-   exposition text captured from the binary's ``--metrics-out``,
-   committed at tools/fixtures/metrics_fixture.txt and regenerated by
-   CI — must appear backticked in docs/OBSERVABILITY.md's Metrics
-   Reference. Override the path with ``--metrics-fixture PATH``.
+4. Undocumented and stale Prometheus families: every family declared
+   by a ``# TYPE <name> <type>`` line in the metrics fixture must appear
+   backticked in docs/OBSERVABILITY.md, and every backticked
+   ``gpumine_*`` family there must be declared by a fixture (a row for a
+   family the program no longer exports is stale). The committed
+   fixture, tools/fixtures/metrics_fixture.txt, is the golden test's
+   mining plus server exposition, so it declares every family.
+   ``--metrics-fixture PATH`` (repeatable) checks more expositions, such
+   as a live ``--metrics-out`` export, next to the committed one.
 
 Exit code 0 when clean, 1 with one line per problem otherwise.
 """
@@ -96,21 +100,22 @@ def json_object_keys(value, keys):
             json_object_keys(child, keys)
 
 
-def check_stats_schema(fixture, problems):
+def check_stats_schema(fixtures, problems):
     handbook = REPO / "docs" / "OBSERVABILITY.md"
-    if not fixture.is_file():
-        problems.append(f"stats fixture missing: {fixture}")
-        return
     if not handbook.is_file():
         problems.append("docs/OBSERVABILITY.md missing (metrics handbook)")
         return
-    try:
-        documents = json.loads(fixture.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        problems.append(f"stats fixture is not valid JSON: {err}")
-        return
     keys = set()
-    json_object_keys(documents, keys)
+    for fixture in fixtures:
+        if not fixture.is_file():
+            problems.append(f"stats fixture missing: {fixture}")
+            continue
+        try:
+            documents = json.loads(fixture.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as err:
+            problems.append(f"{fixture.name} is not valid JSON: {err}")
+            continue
+        json_object_keys(documents, keys)
     # The fixture's own wrapper keys label the documents, not metrics.
     keys -= {"mine", "server"}
     # A key is documented when it appears inline-backticked in the
@@ -131,31 +136,47 @@ def documented_terms(handbook):
     return set(re.findall(r"`([^`\n]+)`", text))
 
 
-def check_metrics_families(fixture, problems):
+def check_metrics_families(fixtures, problems):
     handbook = REPO / "docs" / "OBSERVABILITY.md"
-    if not fixture.is_file():
-        problems.append(f"metrics fixture missing: {fixture}")
-        return
     if not handbook.is_file():
         problems.append("docs/OBSERVABILITY.md missing (metrics handbook)")
         return
-    families = re.findall(
-        r"^# TYPE (\S+) \S+$",
-        fixture.read_text(encoding="utf-8"),
-        flags=re.M,
-    )
-    if not families:
-        problems.append(
-            f"{fixture.name}: no '# TYPE' lines — not exposition text?"
+    declared = set()
+    for fixture in fixtures:
+        if not fixture.is_file():
+            problems.append(f"metrics fixture missing: {fixture}")
+            continue
+        families = re.findall(
+            r"^# TYPE (\S+) \S+$",
+            fixture.read_text(encoding="utf-8"),
+            flags=re.M,
         )
-        return
-    documented = documented_terms(handbook)
-    for family in sorted(set(families)):
-        if family not in documented:
+        if not families:
             problems.append(
-                f"docs/OBSERVABILITY.md: metric family '{family}' "
-                "(declared in the exposition fixture) is undocumented"
+                f"{fixture.name}: no '# TYPE' lines — not exposition text?"
             )
+        declared.update(families)
+    documented = documented_terms(handbook)
+    for family in sorted(declared - documented):
+        problems.append(
+            f"docs/OBSERVABILITY.md: metric family '{family}' "
+            "(declared in the exposition fixture) is undocumented"
+        )
+    for family in sorted(documented - declared):
+        if re.fullmatch(r"gpumine_[a-z0-9_]+", family):
+            problems.append(
+                f"docs/OBSERVABILITY.md: metric family '{family}' is "
+                "documented but no exposition fixture declares it (stale row)"
+            )
+
+
+def fixture_args(args, flag):
+    """Paths given after each occurrence of `flag`."""
+    return [
+        pathlib.Path(args[i + 1])
+        for i, arg in enumerate(args[:-1])
+        if arg == flag
+    ]
 
 
 def main():
@@ -164,20 +185,21 @@ def main():
         re.findall(r"add_executable\((\w+)", cmake.read_text())
     ) | set(re.findall(r"gpumine_add_example\((\w+)", cmake.read_text()))
 
-    fixture = REPO / "tools" / "fixtures" / "stats_fixture.json"
-    metrics = REPO / "tools" / "fixtures" / "metrics_fixture.txt"
+    fixtures = REPO / "tools" / "fixtures"
     args = sys.argv[1:]
-    if "--stats-fixture" in args:
-        fixture = pathlib.Path(args[args.index("--stats-fixture") + 1])
-    if "--metrics-fixture" in args:
-        metrics = pathlib.Path(args[args.index("--metrics-fixture") + 1])
+    stats = [fixtures / "stats_fixture.json"] + fixture_args(
+        args, "--stats-fixture"
+    )
+    metrics = [fixtures / "metrics_fixture.txt"] + fixture_args(
+        args, "--metrics-fixture"
+    )
 
     problems = []
     docs = checked_documents()
     for doc in docs:
         check_links(doc, problems)
         check_examples(doc, problems, registered)
-    check_stats_schema(fixture, problems)
+    check_stats_schema(stats, problems)
     check_metrics_families(metrics, problems)
 
     for problem in problems:
