@@ -1,11 +1,5 @@
-// Performance comparison of the three frequent-itemset miners plus the
-// downstream rule-generation and pruning stages (google-benchmark).
-//
-// Supports the paper's Sec. III-C claim that FP-Growth is the state of
-// the practice: Apriori's candidate generate-and-count pays one database
-// pass per level and an exponential candidate set on dense data, while
-// FP-Growth compresses the database once. Eclat sits in between on
-// these workloads.
+// Performance of FP-Growth mining plus the downstream rule-generation
+// and pruning stages (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,10 +9,7 @@
 #include <string_view>
 #include <thread>
 
-#include "core/apriori.hpp"
-#include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
-#include "core/partitioned.hpp"
 #include "core/pruning.hpp"
 #include "bench_util.hpp"
 #include "core/streaming.hpp"
@@ -231,51 +222,6 @@ BENCHMARK(BM_FpGrowthParallel)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Apriori(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)), 36,
-                          static_cast<double>(state.range(1)) / 100.0, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mine_apriori(db, params()));
-  }
-}
-BENCHMARK(BM_Apriori)
-    ->Args({2000, 25})
-    ->Args({2000, 45})
-    ->Args({10000, 25})
-    ->Args({10000, 45})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Eclat(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)), 36,
-                          static_cast<double>(state.range(1)) / 100.0, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mine_eclat(db, params()));
-  }
-}
-BENCHMARK(BM_Eclat)
-    ->Args({2000, 25})
-    ->Args({2000, 45})
-    ->Args({10000, 25})
-    ->Args({10000, 45})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PartitionedSon(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)), 36,
-                          0.45, 7);
-  core::PartitionedParams p;
-  p.mining = params();
-  p.num_partitions = static_cast<std::size_t>(state.range(1));
-  p.num_threads = 1;  // single-core box; measures algorithmic overhead
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mine_partitioned(db, p));
-  }
-}
-BENCHMARK(BM_PartitionedSon)
-    ->Args({10000, 1})
-    ->Args({10000, 4})
-    ->Args({10000, 16})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SlidingWindowMine(benchmark::State& state) {

@@ -416,7 +416,7 @@ BENCHMARK(BM_StatsSnapshot);
 
 }  // namespace
 
-// Custom main, mirroring perf_partitioned.cpp:
+// Custom main, mirroring perf_mining.cpp:
 // `--smoke-json=PATH [--smoke-pr=N] [--smoke-commit=SHA]
 // [--smoke-jobs=N]` runs only the CI bench-smoke and writes the
 // trajectory record there; otherwise the google-benchmark suite runs.

@@ -6,7 +6,6 @@
 #include "common/ensure.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
-#include "core/partitioned.hpp"
 
 namespace gpumine::analysis {
 namespace {
@@ -95,44 +94,23 @@ MinedTrace mine(prep::Table table, const WorkflowConfig& config) {
   out.prepared = prepare(std::move(table), config);
   core::PrepStageMetrics pm = out.prepared.prep_metrics;
   pm.input_transactions = out.prepared.db.size();
-  if (config.engine == MiningEngine::kSon) {
-    // The SON engine dedups inside each partition slice, so a global
-    // dedup pass here would only duplicate work; distinct-row
-    // accounting comes out of the partition stage instead.
-    core::PartitionedParams son;
-    son.mining = config.mining;
-    son.num_partitions = config.num_partitions;
-    son.num_threads = config.mining.num_threads;
-    son.dedup_partitions = config.dedup_transactions;
-    out.mined = core::mine_partitioned(out.prepared.db, son);
-    pm.distinct_transactions =
-        out.mined.metrics.partition_stage.distinct_rows;
-    pm.dedup_ratio = pm.distinct_transactions == 0
-                         ? 0.0
-                         : static_cast<double>(pm.input_transactions) /
-                               static_cast<double>(pm.distinct_transactions);
-  } else if (config.dedup_transactions) {
-    // Mining runs over the weighted deduplicated database; support math
-    // uses total_weight(), so the result (itemsets, counts, db_size) is
-    // byte-identical to mining the expanded one. `prepared.db` keeps
-    // the full row-per-job view for downstream consumers (summaries,
-    // classifiers, validation scans).
-    const auto dedup_begin = std::chrono::steady_clock::now();
-    const core::TransactionDb deduped = [&] {
-      GPUMINE_SPAN("prep/dedup");
-      return out.prepared.db.dedup();
-    }();
-    pm.dedup_seconds = seconds_since(dedup_begin);
-    pm.distinct_transactions = deduped.size();
-    pm.dedup_ratio = deduped.empty()
-                         ? 0.0
-                         : static_cast<double>(pm.input_transactions) /
-                               static_cast<double>(deduped.size());
-    out.mined = core::mine_frequent(deduped, config.mining, config.algorithm);
-  } else {
-    out.mined =
-        core::mine_frequent(out.prepared.db, config.mining, config.algorithm);
-  }
+  // Mining runs over the weighted deduplicated database; support math
+  // uses total_weight(), so the result (itemsets, counts, db_size) is
+  // byte-identical to mining the expanded one. `prepared.db` keeps the
+  // full row-per-job view for downstream consumers (summaries,
+  // classifiers, validation scans).
+  const auto dedup_begin = std::chrono::steady_clock::now();
+  const core::TransactionDb deduped = [&] {
+    GPUMINE_SPAN("prep/dedup");
+    return out.prepared.db.dedup();
+  }();
+  pm.dedup_seconds = seconds_since(dedup_begin);
+  pm.distinct_transactions = deduped.size();
+  pm.dedup_ratio = deduped.empty()
+                       ? 0.0
+                       : static_cast<double>(pm.input_transactions) /
+                             static_cast<double>(deduped.size());
+  out.mined = core::mine_frequent(deduped, config.mining, config.algorithm);
   out.mined.metrics.prep_stage = pm;
   return out;
 }

@@ -41,16 +41,6 @@ struct ColumnMerge {
   std::string fallback;  // "" = keep unmapped labels
 };
 
-/// How the frequent-itemset stage executes. kDirect mines the whole
-/// (deduplicated) database in one run of `algorithm`; kSon routes
-/// through the two-pass partitioned engine (core::mine_partitioned) —
-/// the scale-out path for traces that outgrow one FP-Growth run.
-/// Results are byte-identical either way.
-enum class MiningEngine {
-  kDirect,
-  kSon,
-};
-
 struct WorkflowConfig {
   std::vector<ColumnBinning> binnings;
   std::vector<ColumnGrouping> groupings;
@@ -66,21 +56,10 @@ struct WorkflowConfig {
   core::RuleParams rules{};          // min lift 1.5
   core::PruneParams pruning{};       // C_lift = C_supp = 1.5
   core::Algorithm algorithm = core::Algorithm::kFpGrowth;
-  /// Execution strategy for the mining stage. kSon partitions the
-  /// database into `num_partitions` slices and runs the two-pass SON
-  /// engine; `algorithm` is ignored on that path (partitions always
-  /// mine with FP-Growth).
-  MiningEngine engine = MiningEngine::kDirect;
-  /// Partition count for the kSon engine; ignored under kDirect.
-  std::size_t num_partitions = 4;
   /// Worker threads for the preprocessing stages (per-column binning,
   /// encoder passes). 1 = serial; propagated into encoder.num_threads
   /// unless that was set explicitly.
   std::size_t prep_threads = 1;
-  /// Fold identical transactions into weighted rows before mining.
-  /// Support math runs over total weight, so results are byte-identical
-  /// either way; dedup only changes how much work the miner does.
-  bool dedup_transactions = true;
 };
 
 /// The preprocessed mining database plus everything needed to interpret
@@ -104,7 +83,9 @@ struct MinedTrace {
   core::MiningResult mined;
 };
 
-/// prepare + frequent-itemset mining (Sec. III-C).
+/// prepare + frequent-itemset mining (Sec. III-C). Mining runs over the
+/// deduplicated database (TransactionDb::dedup), which yields the same
+/// itemsets, counts and db_size as the expanded one.
 [[nodiscard]] MinedTrace mine(prep::Table table, const WorkflowConfig& config);
 
 /// Keyword analysis over a mined trace; `keyword_item` is the rendered

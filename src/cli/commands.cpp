@@ -104,20 +104,27 @@ Result<RuleFlags> parse_rule_flags(const Args& args) {
   return flags;
 }
 
-// Shared CSV -> WorkflowConfig assembly for `itemsets` and `mine`.
+// Shared CSV -> WorkflowConfig assembly for the commands that mine a
+// trace CSV. parse_trace_flags reads every flag and touches no file, so
+// a command can reject unknown flags before it pays for a parse;
+// read_trace then reads the CSV and bins its numeric columns.
+struct TraceFlags {
+  std::string path;
+  prep::CsvParams csv;
+  analysis::WorkflowConfig config;
+};
+
 struct LoadedTrace {
   prep::Table table;
   analysis::WorkflowConfig config;
   double csv_seconds = 0.0;  // CSV parse wall time, for --stats
 };
 
-Result<LoadedTrace> load_trace(const Args& args) {
+Result<TraceFlags> parse_trace_flags(const Args& args) {
   const auto path = args.get("csv");
   if (!path.has_value() || path->empty()) {
     return Error{"--csv", "required: path to the trace CSV"};
   }
-  // Flags first: --threads drives the CSV parser's chunking too, and a
-  // rejected threshold should not cost a parse.
   const auto min_support = args.get_double("min-support", 0.05);
   if (!min_support.ok()) return min_support.error();
   const auto max_length = args.get_uint("max-length", 5);
@@ -131,53 +138,19 @@ Result<LoadedTrace> load_trace(const Args& args) {
   if (!rule_flags.ok()) return rule_flags.error();
   const std::size_t threads = rule_flags.value().rules.num_threads;
 
-  prep::CsvParams csv;
-  csv.force_categorical = split_list(args.get_or("categorical", "job_id"));
-  csv.num_threads = threads;
-  const auto csv_begin = std::chrono::steady_clock::now();
-  auto parsed = prep::read_csv_file(*path, csv);
-  if (!parsed.ok()) return parsed.error();
-
-  LoadedTrace loaded{std::move(parsed).value(), {}, 0.0};
-  loaded.csv_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - csv_begin)
-                           .count();
-  analysis::WorkflowConfig& config = loaded.config;
-
+  TraceFlags flags;
+  flags.path = *path;
+  flags.csv.force_categorical =
+      split_list(args.get_or("categorical", "job_id"));
+  // --threads drives the CSV parser's chunking too.
+  flags.csv.num_threads = threads;
+  analysis::WorkflowConfig& config = flags.config;
   config.mining = mining;
   // Rule generation and the prep stages share the mining worker count.
   config.mining.num_threads = threads;
   config.prep_threads = threads;
   config.rules = rule_flags.value().rules;
   config.pruning = rule_flags.value().pruning;
-
-  const std::string algorithm = args.get_or("algorithm", "fpgrowth");
-  if (algorithm == "fpgrowth") {
-    config.algorithm = core::Algorithm::kFpGrowth;
-  } else if (algorithm == "apriori") {
-    config.algorithm = core::Algorithm::kApriori;
-  } else if (algorithm == "eclat") {
-    config.algorithm = core::Algorithm::kEclat;
-  } else {
-    return Error{"--algorithm", "unknown algorithm '" + algorithm + "'"};
-  }
-
-  const std::string engine = args.get_or("engine", "direct");
-  if (engine == "direct") {
-    config.engine = analysis::MiningEngine::kDirect;
-  } else if (engine == "son") {
-    config.engine = analysis::MiningEngine::kSon;
-  } else {
-    return Error{"--engine", "unknown engine '" + engine +
-                                 "' (must be direct or son)"};
-  }
-  const auto partitions = args.get_uint("partitions", 4);
-  if (!partitions.ok()) return partitions.error();
-  if (partitions.value() == 0) {
-    return Error{"--partitions", "must be >= 1"};
-  }
-  config.num_partitions = static_cast<std::size_t>(partitions.value());
-
   config.drop_columns = split_list(args.get_or("drop", "job_id"));
   config.encoder.bare_label_columns = split_list(args.get_or("bare", ""));
   for (const std::string& column : split_list(args.get_or("group", ""))) {
@@ -187,12 +160,23 @@ Result<LoadedTrace> load_trace(const Args& args) {
     grouping.bottom_label = "New " + column;
     config.groupings.push_back({column, grouping});
   }
+  return flags;
+}
 
+Result<LoadedTrace> read_trace(TraceFlags flags) {
+  const auto csv_begin = std::chrono::steady_clock::now();
+  auto parsed = prep::read_csv_file(flags.path, flags.csv);
+  if (!parsed.ok()) return parsed.error();
+
+  LoadedTrace loaded{std::move(parsed).value(), std::move(flags.config), 0.0};
+  loaded.csv_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - csv_begin)
+                           .count();
   // Default: bin every numeric column with paper-style parameters.
   for (std::size_t c = 0; c < loaded.table.num_columns(); ++c) {
     const std::string& name = loaded.table.column_name(c);
     if (loaded.table.is_numeric(name)) {
-      config.binnings.push_back({name, prep::BinningParams{}});
+      loaded.config.binnings.push_back({name, prep::BinningParams{}});
     }
   }
   return loaded;
@@ -369,18 +353,16 @@ int run_help(std::ostream& out) {
          "  gpumine synth --trace pai|supercloud|philly [--jobs N] "
          "[--seed S] --out trace.csv\n"
          "  gpumine itemsets --csv trace.csv [--min-support F] "
-         "[--max-length K] [--algorithm A] [--top N]\n"
+         "[--max-length K] [--top N]\n"
          "                   [--family all|closed|maximal] [--save FILE "
          "(family all only)]\n"
-         "                   [--engine direct|son] [--partitions N] "
-         "[--threads N] [--stats]\n"
+         "                   [--threads N] [--stats]\n"
          "  gpumine mine (--csv trace.csv | --load FILE) --keyword ITEM "
          "[--min-support F] [--min-lift F]\n"
          "               [--c-lift F] [--c-supp F] [--bare col,..] "
          "[--group col,..] [--drop col,..]\n"
          "               [--format table|csv|json|md] [--max-rows N "
-         "(table|md only)] [--engine direct|son]\n"
-         "               [--partitions N] [--threads N] [--stats]\n"
+         "(table|md only)] [--threads N] [--stats]\n"
          "               [--trace FILE] [--stats-json FILE] [--metrics-out "
          "FILE] [--flight-dump FILE]\n"
          "               [--log-level debug|info|warn|error|off] "
@@ -475,9 +457,9 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
   const std::string save_path = args.get_or("save", "");
   const std::string family = args.get_or("family", "all");
   const bool stats = args.has("stats");
-  auto loaded = load_trace(args);
-  if (!top.ok() || !loaded.ok()) {
-    err << (!top.ok() ? top.error() : loaded.error()).to_string() << "\n";
+  auto flags = parse_trace_flags(args);
+  if (!top.ok() || !flags.ok()) {
+    err << (!top.ok() ? top.error() : flags.error()).to_string() << "\n";
     return 2;
   }
   if (family != "all" && family != "closed" && family != "maximal") {
@@ -491,6 +473,11 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
     return 2;
   }
   if (!reject_unused(args, err)) return 2;
+  auto loaded = read_trace(std::move(flags).value());
+  if (!loaded.ok()) {
+    err << loaded.error().to_string() << "\n";
+    return 2;
+  }
 
   LoadedTrace trace = std::move(loaded).value();
   auto mined = analysis::mine(std::move(trace.table), trace.config);
@@ -592,12 +579,17 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
              "mining\n";
     }
   } else {
-    auto loaded = load_trace(args);
+    auto flags = parse_trace_flags(args);
+    if (!flags.ok()) {
+      err << flags.error().to_string() << "\n";
+      return 2;
+    }
+    if (!reject_unused(args, err)) return 2;
+    auto loaded = read_trace(std::move(flags).value());
     if (!loaded.ok()) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    if (!reject_unused(args, err)) return 2;
     LoadedTrace trace = std::move(loaded).value();
     config = trace.config;
     auto mined = analysis::mine(std::move(trace.table), config);
@@ -662,12 +654,12 @@ int run_predict(const std::vector<std::string>& args_raw, std::ostream& out,
   const auto holdout = args.get_double("holdout", 0.3);
   const auto min_confidence = args.get_double("min-confidence", 0.7);
   const auto seed = args.get_uint("seed", 1);
-  auto loaded = load_trace(args);
-  if (!holdout.ok() || !min_confidence.ok() || !seed.ok() || !loaded.ok()) {
+  auto flags = parse_trace_flags(args);
+  if (!holdout.ok() || !min_confidence.ok() || !seed.ok() || !flags.ok()) {
     const Error& e = !holdout.ok()          ? holdout.error()
                      : !min_confidence.ok() ? min_confidence.error()
                      : !seed.ok()           ? seed.error()
-                                            : loaded.error();
+                                            : flags.error();
     err << e.to_string() << "\n";
     return 2;
   }
@@ -680,6 +672,11 @@ int run_predict(const std::vector<std::string>& args_raw, std::ostream& out,
     return 2;
   }
   if (!reject_unused(args, err)) return 2;
+  auto loaded = read_trace(std::move(flags).value());
+  if (!loaded.ok()) {
+    err << loaded.error().to_string() << "\n";
+    return 2;
+  }
 
   LoadedTrace trace = std::move(loaded).value();
   const auto& config = trace.config;
@@ -812,12 +809,12 @@ int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
   const auto fdr = args.get_double("fdr", 0.01);
   const auto neg_conf = args.get_double("negative-confidence", 0.7);
   const std::string exclude_list = args.get_or("exclude", "");
-  auto loaded = load_trace(args);
-  if (!max_rules.ok() || !fdr.ok() || !neg_conf.ok() || !loaded.ok()) {
+  auto flags = parse_trace_flags(args);
+  if (!max_rules.ok() || !fdr.ok() || !neg_conf.ok() || !flags.ok()) {
     const Error& e = !max_rules.ok() ? max_rules.error()
                      : !fdr.ok()     ? fdr.error()
                      : !neg_conf.ok() ? neg_conf.error()
-                                      : loaded.error();
+                                      : flags.error();
     err << e.to_string() << "\n";
     return 2;
   }
@@ -826,6 +823,11 @@ int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
     return 2;
   }
   if (!reject_unused(args, err)) return 2;
+  auto loaded = read_trace(std::move(flags).value());
+  if (!loaded.ok()) {
+    err << loaded.error().to_string() << "\n";
+    return 2;
+  }
 
   LoadedTrace trace = std::move(loaded).value();
   const auto config = trace.config;
@@ -980,12 +982,17 @@ int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
         std::move(archive.result), std::move(archive.catalog),
         rule_flags.value().rules, rule_flags.value().pruning);
   } else {
-    auto loaded = load_trace(args);
+    auto flags = parse_trace_flags(args);
+    if (!flags.ok()) {
+      err << flags.error().to_string() << "\n";
+      return 2;
+    }
+    if (!reject_unused(args, err)) return 2;
+    auto loaded = read_trace(std::move(flags).value());
     if (!loaded.ok()) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    if (!reject_unused(args, err)) return 2;
     LoadedTrace trace = std::move(loaded).value();
     const analysis::WorkflowConfig config = trace.config;
     auto mined = analysis::mine(std::move(trace.table), config);

@@ -5,8 +5,7 @@
 //   gpumine synth    --trace pai|supercloud|philly --jobs N --seed S
 //                    --out trace.csv
 //   gpumine itemsets --csv trace.csv [--min-support F] [--max-length K]
-//                    [--algorithm fpgrowth|apriori|eclat] [--top N]
-//                    [--save FILE]
+//                    [--top N] [--save FILE]
 //   gpumine mine     (--csv trace.csv | --load FILE) --keyword ITEM
 //                    [--min-support F] [--min-lift F] [--max-length K]
 //                    [--c-lift F] [--c-supp F] [--bare col,col]

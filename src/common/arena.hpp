@@ -89,28 +89,6 @@ class Arena {
     used_ = 0;
   }
 
-  /// Bump-position token for stack-style rewinding; see rewind().
-  struct Mark {
-    std::size_t active = 0;
-    std::size_t offset = 0;
-    std::size_t used = 0;
-  };
-
-  /// Captures the current bump position.
-  [[nodiscard]] Mark mark() const { return {active_, offset_, used_}; }
-
-  /// Releases everything allocated since `m` was taken (blocks are
-  /// retained, like reset()). Marks must be rewound LIFO: rewinding
-  /// invalidates every allocation *and every mark* taken after `m`.
-  /// The mining recursion uses this as a stack allocator — each level
-  /// marks on entry and rewinds once its subtree is fully mined, so an
-  /// arena's footprint tracks the deepest path, not the whole tree.
-  void rewind(Mark m) {
-    active_ = m.active;
-    offset_ = m.offset;
-    used_ = m.used;
-  }
-
   /// Total capacity of the retained blocks.
   [[nodiscard]] std::size_t bytes_reserved() const { return reserved_; }
   /// Bytes handed out since the last reset (excludes alignment padding).

@@ -4,13 +4,11 @@
 #include <cmath>
 
 #include "common/ensure.hpp"
-#include "core/tidset.hpp"
 
 namespace gpumine::core {
 
 std::uint64_t MiningParams::min_count(std::uint64_t db_size) const {
   validate();
-  if (min_count_override > 0) return min_count_override;
   const double exact = min_support * static_cast<double>(db_size);
   auto count = static_cast<std::uint64_t>(std::ceil(exact));
   // ceil can land one below the threshold through floating rounding when
@@ -28,18 +26,6 @@ void MiningParams::validate() const {
   GPUMINE_CHECK_ARG(max_length >= 1, "max_length must be >= 1");
   GPUMINE_CHECK_ARG(spawn_cutoff_nodes >= 1,
                     "spawn_cutoff_nodes must be >= 1");
-}
-
-void KernelMetrics::add(const KernelCounters& counters) {
-  dense_intersections += counters.dense_intersections;
-  sparse_intersections += counters.sparse_intersections;
-  mixed_intersections += counters.mixed_intersections;
-  diff_operations += counters.diff_operations;
-  diffset_switches += counters.diffset_switches;
-  dense_sets_built += counters.dense_sets_built;
-  sparse_sets_built += counters.sparse_sets_built;
-  words_scanned += counters.words_scanned;
-  elements_merged += counters.elements_merged;
 }
 
 namespace {
@@ -69,75 +55,6 @@ void describe(const PrepStageMetrics& m, MetricSink& sink) {
   sink.value("dedup_ratio", m.dedup_ratio,
              {"gpumine_prep_dedup_ratio", kGauge,
               "input / distinct transactions (1.0 = no duplication)"});
-}
-
-void describe(const KernelMetrics& m, MetricSink& sink) {
-  const MetricFamily intersections{
-      "gpumine_kernel_intersections_total", kCounter,
-      "Tid-set intersections, by representation pairing"};
-  const MetricFamily sets_built{
-      "gpumine_kernel_sets_built_total", kCounter,
-      "Result tid-sets materialized, by representation"};
-  sink.title("kernel stage");
-  sink.text("tier", m.tier);
-  sink.value("", 1.0,
-             {"gpumine_kernel_tier_info", kGauge,
-              "Constant 1, labeled with the kernel dispatch tier of the run"},
-             {{"tier", m.tier.empty() ? "none" : m.tier}});
-  sink.value("dense_intersections", m.dense_intersections, intersections,
-             {{"kind", "dense"}});
-  sink.value("sparse_intersections", m.sparse_intersections, intersections,
-             {{"kind", "sparse"}});
-  sink.value("mixed_intersections", m.mixed_intersections, intersections,
-             {{"kind", "mixed"}});
-  sink.value("diff_operations", m.diff_operations,
-             {"gpumine_kernel_diff_operations_total", kCounter,
-              "dEclat set-difference kernel calls"});
-  sink.value("diffset_switches", m.diffset_switches,
-             {"gpumine_kernel_diffset_switches_total", kCounter,
-              "Equivalence classes flipped to diffset representation"});
-  sink.value("dense_sets_built", m.dense_sets_built, sets_built,
-             {{"kind", "dense"}});
-  sink.value("sparse_sets_built", m.sparse_sets_built, sets_built,
-             {{"kind", "sparse"}});
-  sink.value("words_scanned", m.words_scanned,
-             {"gpumine_kernel_words_scanned_total", kCounter,
-              "64-bit words read by dense kernels"});
-  sink.value("elements_merged", m.elements_merged,
-             {"gpumine_kernel_elements_merged_total", kCounter,
-              "List elements read by sparse merges"});
-}
-
-void describe(const PartitionMetrics& m, MetricSink& sink) {
-  const MetricFamily rows{"gpumine_son_rows", kGauge,
-                          "Rows entering the partitioned engine"};
-  const MetricFamily pass_seconds{"gpumine_son_pass_seconds", kGauge,
-                                  "Wall time per SON pass"};
-  sink.title("partition stage (SON)");
-  sink.value("num_partitions", m.num_partitions,
-             {"gpumine_son_partitions", kGauge, "Pass-1 slices mined"});
-  sink.value("num_threads", m.num_threads);
-  sink.list("partition_itemsets", m.partition_itemsets,
-            {"gpumine_son_partition_itemsets", kGauge,
-             "Locally frequent itemsets per partition"},
-            "partition");
-  sink.value("input_rows", m.input_rows, rows, {{"kind", "input"}});
-  sink.value("distinct_rows", m.distinct_rows, rows, {{"kind", "distinct"}});
-  sink.value("candidates", m.candidates,
-             {"gpumine_son_candidates", kGauge,
-              "Union of locally frequent itemsets"});
-  sink.value("verified", m.verified,
-             {"gpumine_son_verified", kGauge,
-              "Candidates confirmed globally frequent"});
-  sink.value("false_candidate_rate", m.false_candidate_rate,
-             {"gpumine_son_false_candidate_rate", kGauge,
-              "Fraction of candidates that failed global verification"});
-  sink.value("verify_shards", m.verify_shards,
-             {"gpumine_son_verify_shards", kGauge, "Pass-2 counting chunks"});
-  sink.value("pass1_seconds", m.pass1_seconds, pass_seconds,
-             {{"pass", "1"}});
-  sink.value("pass2_seconds", m.pass2_seconds, pass_seconds,
-             {{"pass", "2"}});
 }
 
 void describe(const RuleStageMetrics& m, MetricSink& sink) {
@@ -213,8 +130,6 @@ void describe(const MiningMetrics& m, MetricSink& sink) {
              "Conditional trees mined, by recursion depth"},
             "depth");
   sink.nested("prep_stage", m.prep_stage);
-  sink.nested("kernel_stage", m.kernel_stage);
-  sink.nested("partition_stage", m.partition_stage);
   sink.nested("rule_stage", m.rule_stage);
 }
 

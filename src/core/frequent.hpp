@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,9 +22,9 @@ struct MiningParams {
   double min_support = 0.05;
   /// Maximum itemset length. Paper default: 5 (Sec. III-D).
   std::size_t max_length = 5;
-  /// Worker threads for the mining scheduler (FP-Growth and Eclat spawn
-  /// work-stealing tasks recursively; partitioned mining parallelizes
-  /// across partitions). 0 = hardware concurrency, 1 = sequential.
+  /// Worker threads for the mining scheduler (FP-Growth spawns
+  /// work-stealing tasks recursively). 0 = hardware concurrency,
+  /// 1 = sequential.
   std::size_t num_threads = 1;
   /// FP-Growth spawns a scheduler task for a conditional tree with at
   /// least this many nodes; smaller trees are mined inline. Lower values
@@ -33,26 +32,17 @@ struct MiningParams {
   /// when num_threads == 1.
   std::size_t spawn_cutoff_nodes = 256;
   /// Work-size floor for going parallel at all: when the rank-encoded
-  /// database holds fewer item occurrences than this, FP-Growth/Eclat
-  /// mine serially even if num_threads > 1 — on inputs this small, pool
+  /// database holds fewer item occurrences than this, FP-Growth mines
+  /// serially even if num_threads > 1 — on inputs this small, pool
   /// startup and task overhead cost more than the mining (the PR 2/3
   /// bench trajectory recorded parallel *slower* than serial on the
   /// smoke workload). 0 disables the fallback (tests use this to force
   /// the parallel path on small fixtures).
   std::size_t serial_cutoff_items = 131072;
-  /// Absolute support-count threshold; 0 = derive from min_support.
-  /// When set, min_count() returns this value verbatim, bypassing the
-  /// fraction entirely. Callers that already hold an absolute count
-  /// (SON's per-partition thresholds) use this to avoid the
-  /// count -> fraction -> ceil(f * |D|) round trip, which
-  /// can land on count + 1 under floating rounding (e.g. count 7 over
-  /// total weight 25) and silently tighten the threshold.
-  std::uint64_t min_count_override = 0;
 
   /// Converts the fractional threshold into an absolute count over a
   /// database of total weight `db_size`: the smallest count c with
-  /// c / db_size >= min_support, and at least 1. When
-  /// min_count_override is nonzero it wins unconditionally.
+  /// c / db_size >= min_support, and at least 1.
   [[nodiscard]] std::uint64_t min_count(std::uint64_t db_size) const;
 
   /// Throws std::invalid_argument unless thresholds are in range.
@@ -110,61 +100,9 @@ struct RuleStageMetrics {
   bool operator==(const RuleStageMetrics&) const = default;
 };
 
-/// Observability for the two-pass partitioned SON engine
-/// (core::mine_partitioned): per-partition local-mining shape, the
-/// candidate-verification funnel, and per-pass wall times. Rendered as
-/// part of `mine --stats` and the perf JSON; all fields are zero unless
-/// the run went through the partitioned engine. docs/SCALING.md
-/// documents the schema.
-struct PartitionMetrics {
-  std::size_t num_partitions = 0;  // pass-1 slices actually mined
-  std::size_t num_threads = 1;     // scheduler width of the run
-  /// Locally frequent itemsets found per partition (pass-1 output).
-  std::vector<std::uint64_t> partition_itemsets;
-  std::uint64_t input_rows = 0;     // rows sliced into partitions
-  std::uint64_t distinct_rows = 0;  // rows after per-partition dedup
-  std::uint64_t candidates = 0;     // union of the local winners
-  std::uint64_t verified = 0;       // candidates globally frequent
-  /// Candidates that failed global verification, as a fraction of the
-  /// candidate set: (candidates - verified) / candidates.
-  double false_candidate_rate = 0.0;
-  std::uint64_t verify_shards = 0;  // pass-2 counting chunks
-  double pass1_seconds = 0.0;       // slice + dedup + local mining
-  double pass2_seconds = 0.0;       // index build + count + reduce
-
-  bool operator==(const PartitionMetrics&) const = default;
-};
-
-struct KernelCounters;  // core/tidset.hpp
-
-/// Observability for the vertical-mining kernel layer (core/tidset.hpp):
-/// which dispatch tier ran, how often each representation pairing was
-/// intersected, dEclat diffset activity, and raw kernel traffic. Filled
-/// by the engines that run on tid-sets (Eclat, SON pass 2) and rendered
-/// as part of `mine --stats`/`--stats-json`; see docs/KERNELS.md for
-/// the representation heuristics behind the numbers.
-struct KernelMetrics {
-  std::string tier;  // "scalar" | "word" | "avx2"; empty = no kernel ran
-  std::uint64_t dense_intersections = 0;   // bitmap AND kernel calls
-  std::uint64_t sparse_intersections = 0;  // sorted-list merge joins
-  std::uint64_t mixed_intersections = 0;   // list probed against bitmap
-  std::uint64_t diff_operations = 0;       // set differences (dEclat)
-  std::uint64_t diffset_switches = 0;      // classes flipped to diffsets
-  std::uint64_t dense_sets_built = 0;      // bitmap results materialized
-  std::uint64_t sparse_sets_built = 0;     // list results materialized
-  std::uint64_t words_scanned = 0;         // 64-bit words read by kernels
-  std::uint64_t elements_merged = 0;       // list elements read by merges
-
-  /// Accumulates one task's/chunk's kernel-layer counters.
-  void add(const KernelCounters& counters);
-
-  bool operator==(const KernelMetrics&) const = default;
-};
-
-/// Observability counters for one mining run, filled by the algorithms
-/// that use the work-stealing scheduler (FP-Growth, Eclat, partitioned).
-/// Rendered by `gpumine mine --stats` and emitted as JSON by the bench
-/// harness; all fields are zero for purely sequential algorithms.
+/// Observability counters for one FP-Growth run on the work-stealing
+/// scheduler. Rendered by `gpumine mine --stats` and emitted as JSON by
+/// the bench harness; the scheduler fields stay zero for a serial run.
 struct MiningMetrics {
   std::size_t num_workers = 1;        // scheduler width (1 = sequential)
   std::uint64_t tasks_spawned = 0;    // scheduler tasks submitted
@@ -172,9 +110,9 @@ struct MiningMetrics {
   std::size_t peak_queue_length = 0;  // max depth of any worker deque
   double wall_seconds = 0.0;          // end-to-end mining wall time
   std::vector<double> worker_busy_seconds;  // per-worker task execution time
-  /// Arena traffic of the flat FP-tree layout (zero for miners that do
-  /// not build trees): fresh bytes drawn from malloc, bytes served from
-  /// recycled arenas, and the pool's total footprint.
+  /// Arena traffic of the flat FP-tree layout: fresh bytes drawn from
+  /// malloc, bytes served from recycled arenas, and the pool's total
+  /// footprint.
   std::uint64_t arena_bytes_allocated = 0;
   std::uint64_t arena_bytes_reused = 0;
   std::size_t peak_arena_bytes = 0;
@@ -186,12 +124,6 @@ struct MiningMetrics {
   /// mined at depth d (top-level projections are depth 0). The last slot
   /// aggregates anything deeper.
   std::vector<std::uint64_t> depth_histogram;
-  /// Vertical-kernel counters; zero unless the run intersected tid-sets
-  /// (Eclat, SON pass-2 verification).
-  KernelMetrics kernel_stage;
-  /// Two-pass SON counters; zero unless the run used the partitioned
-  /// engine (core::mine_partitioned).
-  PartitionMetrics partition_stage;
   /// Downstream rule-generation/pruning counters; zero until a rule
   /// stage ran over this result (e.g. `mine --keyword`).
   RuleStageMetrics rule_stage;
@@ -207,19 +139,17 @@ struct MiningMetrics {
 /// one, i.e. did not run.
 void describe(const PrepStageMetrics& metrics, MetricSink& sink);
 void describe(const RuleStageMetrics& metrics, MetricSink& sink);
-void describe(const PartitionMetrics& metrics, MetricSink& sink);
-void describe(const KernelMetrics& metrics, MetricSink& sink);
 void describe(const MiningMetrics& metrics, MetricSink& sink);
 
-/// Lookup table from itemset to support count (behind SupportIndex and
-/// Apriori's candidate prune). Heterogeneous lookup via span avoids
-/// building temporary vectors on the hot rule-generation path.
+/// Lookup table from itemset to support count (behind SupportIndex).
+/// Heterogeneous lookup via span avoids building temporary vectors on
+/// the hot rule-generation path.
 using SupportMap =
     std::unordered_map<Itemset, std::uint64_t, ItemsetHash, ItemsetEq>;
 
 /// Output of a mining run. `itemsets` is sorted deterministically
 /// (by length, then lexicographically by item ids) regardless of the
-/// algorithm or thread count that produced it.
+/// thread count that produced it.
 struct MiningResult {
   std::vector<FrequentItemset> itemsets;
   /// |D| as the support denominator: TransactionDb::total_weight() of the
@@ -236,8 +166,8 @@ struct MiningResult {
   }
 };
 
-/// Sorts `itemsets` into the canonical deterministic order used by all
-/// three algorithms (length-major, then lexicographic by ids).
+/// Sorts `itemsets` into the canonical deterministic order of every
+/// mining result (length-major, then lexicographic by ids).
 void sort_canonical(std::vector<FrequentItemset>& itemsets);
 
 /// True when `a` and `b` list the same itemsets in the same order with

@@ -2,36 +2,13 @@
 
 #include <chrono>
 
-#include "common/ensure.hpp"
-#include "core/apriori.hpp"
-#include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 
 namespace gpumine::core {
 
-std::string_view to_string(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kFpGrowth:
-      return "fpgrowth";
-    case Algorithm::kApriori:
-      return "apriori";
-    case Algorithm::kEclat:
-      return "eclat";
-  }
-  GPUMINE_ENSURE(false, "unknown Algorithm");
-}
-
 MiningResult mine_frequent(const TransactionDb& db, const MiningParams& params,
-                           Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kFpGrowth:
-      return mine_fpgrowth(db, params);
-    case Algorithm::kApriori:
-      return mine_apriori(db, params);
-    case Algorithm::kEclat:
-      return mine_eclat(db, params);
-  }
-  GPUMINE_ENSURE(false, "unknown Algorithm");
+                           Algorithm /*algorithm*/) {
+  return mine_fpgrowth(db, params);
 }
 
 KeywordAnalysis analyze_keyword(const MiningResult& mined, ItemId keyword,

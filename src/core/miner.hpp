@@ -1,8 +1,7 @@
-// Facade over the three frequent-itemset algorithms plus the full
-// itemsets -> rules -> pruned-rules pipeline of Sec. III.
+// Facade over frequent-itemset mining plus the full itemsets -> rules
+// -> pruned-rules pipeline of Sec. III.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "core/frequent.hpp"
@@ -13,17 +12,12 @@
 
 namespace gpumine::core {
 
-enum class Algorithm {
-  kFpGrowth,  // paper's choice (Sec. III-C)
-  kApriori,   // classical baseline
-  kEclat,     // vertical-layout baseline
-};
+// FP-Growth is the one miner (the paper's choice, Sec. III-C). The enum
+// and mine_frequent's third parameter remain because the end-to-end
+// benchmark (perf_e2e/) passes WorkflowConfig::algorithm through them.
+enum class Algorithm { kFpGrowth };
 
-[[nodiscard]] std::string_view to_string(Algorithm algorithm);
-
-/// Mines frequent itemsets with the selected algorithm. All algorithms
-/// return identical results (asserted by the property tests); they differ
-/// only in runtime.
+/// Mines frequent itemsets with FP-Growth (core::mine_fpgrowth).
 [[nodiscard]] MiningResult mine_frequent(const TransactionDb& db,
                                          const MiningParams& params,
                                          Algorithm algorithm = Algorithm::kFpGrowth);

@@ -1,76 +1,13 @@
 #include "core/support_index.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "common/arena.hpp"
 #include "common/ensure.hpp"
-#include "common/simd.hpp"
-#include "core/tidset.hpp"
 
 namespace gpumine::core {
-
-// The mined database's vertical layout, built once and immutable: one
-// tid-set per item (rank-encoded at min_count 1, so *every* item is
-// present, not just the frequent ones) in the representation the
-// density threshold picks. A support query intersects its items' sets
-// smallest-first with per-call scratch storage, so concurrent readers
-// never contend.
-struct SupportIndex::VerticalIndex {
-  static constexpr std::uint32_t kNoRank = 0xffffffffu;
-
-  RankEncoding enc;
-  TidOps ops;
-  Arena arena;  // owns the dense root bitmaps
-  std::vector<TidSetView> roots;
-  std::vector<std::uint32_t> rank_of;  // ItemId -> rank
-  std::uint64_t total_weight = 0;
-
-  explicit VerticalIndex(const TransactionDb& db)
-      : enc(rank_encode(db, 1, /*with_tids=*/true)),
-        ops(static_cast<std::uint32_t>(db.size()), enc.weights,
-            active_kernel_tier()),
-        total_weight(db.total_weight()) {
-    KernelCounters kc;  // construction-time traffic, not surfaced
-    roots.resize(enc.num_ranks());
-    rank_of.assign(db.item_id_bound(), kNoRank);
-    for (std::uint32_t r = 0; r < enc.num_ranks(); ++r) {
-      rank_of[enc.item_of_rank[r]] = r;
-      roots[r] = ops.build(enc.tidlist(r), enc.count_of_rank[r], arena, kc);
-    }
-  }
-
-  [[nodiscard]] std::uint64_t count(std::span<const ItemId> items) const {
-    if (items.empty()) return total_weight;  // sigma(empty set) = |D|
-    std::vector<const TidSetView*> sets;
-    sets.reserve(items.size());
-    for (const ItemId item : items) {
-      if (item >= rank_of.size() || rank_of[item] == kNoRank) return 0;
-      sets.push_back(&roots[rank_of[item]]);
-    }
-    std::stable_sort(sets.begin(), sets.end(),
-                     [](const TidSetView* a, const TidSetView* b) {
-                       return a->num_tids < b->num_tids;
-                     });
-    Arena scratch;
-    KernelCounters kc;
-    TidSetView acc = *sets[0];
-    for (std::size_t s = 1; s < sets.size() && acc.num_tids > 0; ++s) {
-      acc = ops.intersect(acc, *sets[s], scratch, kc);
-    }
-    return acc.count;
-  }
-};
 
 SupportIndex::SupportIndex(const MiningResult& mined)
     : db_size_(mined.db_size) {
   map_.reserve(mined.itemsets.size());
   for (const auto& fi : mined.itemsets) map_.emplace(fi.items, fi.count);
-}
-
-SupportIndex::SupportIndex(const MiningResult& mined, const TransactionDb& db)
-    : SupportIndex(mined) {
-  vertical_ = std::make_shared<const VerticalIndex>(db);
 }
 
 std::optional<std::uint64_t> SupportIndex::find(
@@ -82,12 +19,10 @@ std::optional<std::uint64_t> SupportIndex::find(
 
 std::uint64_t SupportIndex::count(std::span<const ItemId> items) const {
   const auto it = map_.find(items);
-  if (it != map_.end()) return it->second;
-  GPUMINE_ENSURE(vertical_ != nullptr,
+  GPUMINE_ENSURE(it != map_.end(),
                  "itemset missing from the support index (not a subset of "
-                 "any mined frequent itemset?) and no vertical layout was "
-                 "bound to compute it on demand");
-  return vertical_->count(items);
+                 "any mined frequent itemset?)");
+  return it->second;
 }
 
 double SupportIndex::support(std::span<const ItemId> items) const {

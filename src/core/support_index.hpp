@@ -9,25 +9,18 @@
 // concurrently by the rule-generation worker shards without locking.
 //
 // Anti-monotonicity guarantees every subset of a frequent itemset is
-// itself frequent, so the map-only index treats a count() miss as a
-// logic error; find() is the forgiving variant for itemsets that may be
-// below the floor. The two-argument constructor additionally binds the
-// mined database's vertical layout (core/tidset.hpp), turning a miss
-// into an exact on-demand computation — the itemset's support is the
-// fused-weight kernel intersection of its items' tid-sets — so ad-hoc
-// queries below the mining floor resolve without rescanning the
-// database.
+// itself frequent, so the index treats a count() miss as a logic error;
+// find() is the forgiving variant for itemsets that may be below the
+// floor.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 
 #include "core/frequent.hpp"
 #include "core/itemset.hpp"
 #include "core/measures.hpp"
-#include "core/transaction_db.hpp"
 
 namespace gpumine::core {
 
@@ -39,29 +32,17 @@ class SupportIndex {
   /// Indexes every itemset of `mined` (linear in output size).
   explicit SupportIndex(const MiningResult& mined);
 
-  /// Additionally rank-encodes `db` (the database `mined` came from)
-  /// with tid-lists, so count() computes exact supports on demand for
-  /// itemsets missing from the map instead of throwing. The vertical
-  /// layout is owned by the index; `db` is not retained. Lookups stay
-  /// lock-free: the layout is immutable and per-call intermediates
-  /// live in a local scratch arena.
-  SupportIndex(const MiningResult& mined, const TransactionDb& db);
-
   [[nodiscard]] std::uint64_t db_size() const { return db_size_; }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
   [[nodiscard]] bool empty() const { return map_.empty(); }
 
-  /// True when the index can compute supports below the mining floor.
-  [[nodiscard]] bool vertical() const { return vertical_ != nullptr; }
-
   /// Support count of a canonical itemset, or nullopt when it was not
-  /// among the mined frequent itemsets (never computes on demand).
+  /// among the mined frequent itemsets.
   [[nodiscard]] std::optional<std::uint64_t> find(
       std::span<const ItemId> items) const;
 
-  /// Support count of a canonical itemset: the mined count when it is
-  /// frequent, an on-demand vertical computation otherwise. Throws
-  /// std::logic_error on a miss without a vertical layout.
+  /// Support count of a canonical mined itemset. Throws
+  /// std::logic_error on a miss.
   [[nodiscard]] std::uint64_t count(std::span<const ItemId> items) const;
 
   /// supp(items) = sigma(items) / |D|; 0 for an empty database.
@@ -75,11 +56,8 @@ class SupportIndex {
       std::span<const ItemId> consequent) const;
 
  private:
-  struct VerticalIndex;  // rank encoding + prebuilt root tid-sets
-
   SupportMap map_;
   std::uint64_t db_size_ = 0;
-  std::shared_ptr<const VerticalIndex> vertical_;
 };
 
 }  // namespace gpumine::core

@@ -78,8 +78,7 @@ void TransactionDb::reserve(std::size_t transactions, std::size_t items_total) {
   items_.reserve(items_total);
 }
 
-RankEncoding rank_encode(const TransactionDb& db, std::uint64_t min_count,
-                         bool with_tids) {
+RankEncoding rank_encode(const TransactionDb& db, std::uint64_t min_count) {
   constexpr std::uint32_t kNoRank = std::numeric_limits<std::uint32_t>::max();
   GPUMINE_ENSURE(db.size() < kNoRank && db.total_items() < kNoRank,
                  "rank encoding is 32-bit");
@@ -121,25 +120,6 @@ RankEncoding rank_encode(const TransactionDb& db, std::uint64_t min_count,
     std::sort(enc.items.begin() + static_cast<std::ptrdiff_t>(begin),
               enc.items.end());
     enc.offsets.push_back(static_cast<std::uint32_t>(enc.items.size()));
-  }
-
-  if (with_tids) {
-    // Tid lists hold *distinct* transaction ids, so size them by
-    // occurrence count, not by the (possibly weighted) support count.
-    std::vector<std::uint32_t> occurrences(enc.num_ranks(), 0);
-    for (std::uint32_t r : enc.items) ++occurrences[r];
-    enc.tid_offsets.resize(enc.num_ranks() + 1, 0);
-    for (std::uint32_t r = 0; r < enc.num_ranks(); ++r) {
-      enc.tid_offsets[r + 1] = enc.tid_offsets[r] + occurrences[r];
-    }
-    enc.tids.resize(enc.tid_offsets.back());
-    std::vector<std::uint32_t> cursor(enc.tid_offsets.begin(),
-                                      enc.tid_offsets.end() - 1);
-    for (std::size_t t = 0; t < db.size(); ++t) {
-      for (std::uint32_t r : enc.transaction(t)) {
-        enc.tids[cursor[r]++] = static_cast<std::uint32_t>(t);
-      }
-    }
   }
   return enc;
 }

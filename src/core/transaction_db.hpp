@@ -94,18 +94,14 @@ class TransactionDb {
 /// The database re-encoded over *ranks*: every frequent item renumbered
 /// 0..n-1 in support-descending order (ties by ItemId), infrequent items
 /// dropped. One flat rank-sorted std::uint32_t buffer holds every
-/// transaction back to back — the single shared input layout of the
-/// FP-Growth tree build (horizontal CSR view) and Eclat (vertical
-/// tid-list view, spans into one flat tid buffer). Built once per mining
-/// run; 32-bit throughout, so the database is capped at 2^32-1
-/// transactions and ranks.
+/// transaction back to back (CSR layout) — the input of the FP-Growth
+/// tree build. Built once per mining run; 32-bit throughout, so the
+/// database is capped at 2^32-1 transactions and ranks.
 struct RankEncoding {
   std::vector<ItemId> item_of_rank;          // rank -> original item id
   std::vector<std::uint64_t> count_of_rank;  // rank -> weighted support
   std::vector<std::uint32_t> items;    // per-transaction ranks, ascending
   std::vector<std::uint32_t> offsets;  // CSR over `items`, size()+1 entries
-  std::vector<std::uint32_t> tids;     // rank-grouped transaction ids
-  std::vector<std::uint32_t> tid_offsets;  // CSR over `tids`; empty unless built
   /// Per-transaction multiplicities; empty when the source database is
   /// unweighted (every transaction counts once).
   std::vector<std::uint64_t> weights;
@@ -119,19 +115,10 @@ struct RankEncoding {
   [[nodiscard]] std::span<const std::uint32_t> transaction(std::size_t i) const {
     return {items.data() + offsets[i], offsets[i + 1] - offsets[i]};
   }
-
-  /// Ascending transaction ids containing rank `r` (length == occurrence
-  /// count; equals the support only for unweighted databases). Only
-  /// valid when the encoding was built `with_tids`.
-  [[nodiscard]] std::span<const std::uint32_t> tidlist(std::uint32_t r) const {
-    return {tids.data() + tid_offsets[r], tid_offsets[r + 1] - tid_offsets[r]};
-  }
 };
 
 /// Builds the rank encoding for items with support >= `min_count`.
-/// `with_tids` additionally materializes the vertical tid-list view.
 [[nodiscard]] RankEncoding rank_encode(const TransactionDb& db,
-                                       std::uint64_t min_count,
-                                       bool with_tids = false);
+                                       std::uint64_t min_count);
 
 }  // namespace gpumine::core

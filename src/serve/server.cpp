@@ -214,9 +214,9 @@ void Server::serve_connection(int fd) {
     first_line = false;
 
     if (http) {
-      std::string_view method;
-      std::string_view target;
-      if (!parse_request_line(line, &method, &target)) {
+      std::string_view method_view;
+      std::string_view target_view;
+      if (!parse_request_line(line, &method_view, &target_view)) {
         log_debug("serve", "malformed request line",
                   {{"line", std::string_view(line.data(),
                                              std::min<std::size_t>(
@@ -225,6 +225,10 @@ void Server::serve_connection(int fd) {
             fd, {400, "application/json", "{\"error\":\"bad request\"}"});
         break;
       }
+      // The views point into `buffer`, which the header drain below may
+      // reallocate; the handler gets owned copies.
+      const std::string method(method_view);
+      const std::string target(target_view);
       // Drain headers (blank line terminates; bodies are not used by
       // any endpoint, so the connection closes after the response).
       for (;;) {

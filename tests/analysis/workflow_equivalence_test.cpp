@@ -1,56 +1,38 @@
-// End-to-end algorithm independence: the entire workflow — preprocessing,
-// mining, rule generation, keyword pruning — must produce identical rule
-// tables whichever frequent-itemset algorithm drives it, on a realistic
-// trace (not just the unit-level random databases).
+// End-to-end check against the Apriori oracle: the entire workflow —
+// preprocessing, dedup, FP-Growth, rule generation, keyword pruning —
+// must render the same rule table as oracle-mined itemsets pushed
+// through the same rule stage, on a realistic trace (not just the
+// unit-level random databases).
 #include <gtest/gtest.h>
 
 #include "analysis/report.hpp"
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
-#include "core/partitioned.hpp"
+#include "oracle/apriori.hpp"
 #include "synth/philly.hpp"
 
 namespace gpumine::analysis {
 namespace {
 
-TEST(WorkflowEquivalence, SameRulesForEveryAlgorithm) {
-  synth::PhillyConfig trace_cfg;
-  trace_cfg.num_jobs = 6000;
-  const auto trace = synth::generate_philly(trace_cfg);
-
-  auto render = [&](core::Algorithm algorithm) {
-    WorkflowConfig config = philly_config();
-    config.algorithm = algorithm;
-    auto mined = mine(trace.merged(), config);
-    const auto a = analyze(mined, "Failed", config);
-    RuleTableOptions options;
-    options.max_cause = 50;
-    options.max_characteristic = 50;
-    return render_rule_table(a, mined.prepared.catalog, options);
-  };
-
-  const std::string fp = render(core::Algorithm::kFpGrowth);
-  EXPECT_EQ(fp, render(core::Algorithm::kApriori));
-  EXPECT_EQ(fp, render(core::Algorithm::kEclat));
-}
-
-TEST(WorkflowEquivalence, PartitionedMiningMatchesAtWorkflowScale) {
+TEST(WorkflowEquivalence, SameRulesAsAprioriOracle) {
   synth::PhillyConfig trace_cfg;
   trace_cfg.num_jobs = 6000;
   const auto trace = synth::generate_philly(trace_cfg);
   const WorkflowConfig config = philly_config();
-  auto prepared = prepare(trace.merged(), config);
+  RuleTableOptions options;
+  options.max_cause = 50;
+  options.max_characteristic = 50;
 
-  const auto direct = core::mine_frequent(prepared.db, config.mining);
-  core::PartitionedParams son;
-  son.mining = config.mining;
-  son.num_partitions = 5;
-  const auto partitioned = core::mine_partitioned(prepared.db, son);
-  ASSERT_EQ(direct.itemsets.size(), partitioned.itemsets.size());
-  for (std::size_t i = 0; i < direct.itemsets.size(); ++i) {
-    EXPECT_EQ(direct.itemsets[i].items, partitioned.itemsets[i].items);
-    EXPECT_EQ(direct.itemsets[i].count, partitioned.itemsets[i].count);
-  }
+  const MinedTrace mined = mine(trace.merged(), config);
+  const std::string workflow = render_rule_table(
+      analyze(mined, "Failed", config), mined.prepared.catalog, options);
+
+  MinedTrace oracle;
+  oracle.prepared = prepare(trace.merged(), config);
+  oracle.mined = core::mine_apriori(oracle.prepared.db, config.mining);
+  ASSERT_TRUE(core::same_itemsets(oracle.mined, mined.mined));
+  EXPECT_EQ(workflow, render_rule_table(analyze(oracle, "Failed", config),
+                                        oracle.prepared.catalog, options));
 }
 
 }  // namespace

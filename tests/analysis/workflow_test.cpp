@@ -99,39 +99,6 @@ TEST(Mine, FindsTheObviousAssociation) {
   EXPECT_TRUE(found);
 }
 
-TEST(Mine, AlgorithmChoiceDoesNotChangeResults) {
-  auto cfg = toy_config();
-  const auto fp = mine(toy_table(), cfg);
-  cfg.algorithm = core::Algorithm::kApriori;
-  const auto ap = mine(toy_table(), cfg);
-  ASSERT_EQ(fp.mined.itemsets.size(), ap.mined.itemsets.size());
-  for (std::size_t i = 0; i < fp.mined.itemsets.size(); ++i) {
-    EXPECT_EQ(fp.mined.itemsets[i].items, ap.mined.itemsets[i].items);
-    EXPECT_EQ(fp.mined.itemsets[i].count, ap.mined.itemsets[i].count);
-  }
-}
-
-TEST(Mine, SonEngineMatchesDirectAndFillsPartitionMetrics) {
-  auto cfg = toy_config();
-  const auto direct = mine(toy_table(), cfg);
-  cfg.engine = MiningEngine::kSon;
-  cfg.num_partitions = 3;
-  const auto son = mine(toy_table(), cfg);
-  ASSERT_EQ(son.mined.itemsets.size(), direct.mined.itemsets.size());
-  for (std::size_t i = 0; i < son.mined.itemsets.size(); ++i) {
-    EXPECT_EQ(son.mined.itemsets[i].items, direct.mined.itemsets[i].items);
-    EXPECT_EQ(son.mined.itemsets[i].count, direct.mined.itemsets[i].count);
-  }
-  EXPECT_EQ(son.mined.db_size, direct.mined.db_size);
-  const auto& stage = son.mined.metrics.partition_stage;
-  EXPECT_NE(stage, core::PartitionMetrics{});
-  EXPECT_EQ(stage.num_partitions, 3u);
-  // Dedup accounting comes from the partition stage on the SON path.
-  EXPECT_EQ(son.mined.metrics.prep_stage.distinct_transactions,
-            stage.distinct_rows);
-  EXPECT_EQ(direct.mined.metrics.partition_stage, core::PartitionMetrics{});
-}
-
 TEST(Analyze, UnknownKeywordThrowsWithHint) {
   const auto mined = mine(toy_table(), toy_config());
   try {

@@ -358,19 +358,7 @@ TEST(Cli, ItemsetsFamilySelection) {
   }
 }
 
-TEST(Cli, ItemsetsAlgorithmSelection) {
-  const std::string csv = temp_path("cli_trace4.csv");
-  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "1500", "--out",
-                     csv})
-                .code,
-            0);
-  for (const char* algorithm : {"fpgrowth", "apriori", "eclat"}) {
-    const auto result = run_cli({"itemsets", "--csv", csv, "--algorithm",
-                                 algorithm, "--min-support", "0.2"});
-    EXPECT_EQ(result.code, 0) << algorithm << ": " << result.err;
-  }
-  EXPECT_EQ(
-      run_cli({"itemsets", "--csv", csv, "--algorithm", "magic"}).code, 2);
+TEST(Cli, ItemsetsMinSupportCheckedBeforeCsv) {
   for (const char* min_support : {"0", "2"}) {
     const auto bad = run_cli({"itemsets", "--csv", "/does/not/exist.csv",
                               "--min-support", min_support});
@@ -379,33 +367,34 @@ TEST(Cli, ItemsetsAlgorithmSelection) {
   }
 }
 
-TEST(Cli, ItemsetsEngineSelection) {
-  const std::string csv = temp_path("cli_engine.csv");
-  ASSERT_EQ(run_cli({"synth", "--trace", "pai", "--jobs", "1500", "--out",
-                     csv})
-                .code,
-            0);
-  // The SON engine must list exactly what direct mining lists.
-  const auto direct = run_cli({"itemsets", "--csv", csv, "--min-support",
-                               "0.1", "--engine", "direct"});
-  const auto son = run_cli({"itemsets", "--csv", csv, "--min-support", "0.1",
-                            "--engine", "son", "--partitions", "3"});
-  ASSERT_EQ(direct.code, 0) << direct.err;
-  ASSERT_EQ(son.code, 0) << son.err;
-  EXPECT_EQ(son.out, direct.out);
-
-  // --stats surfaces the partition stage only on the SON path.
-  const auto stats = run_cli({"itemsets", "--csv", csv, "--min-support",
-                              "0.1", "--engine", "son", "--stats"});
-  ASSERT_EQ(stats.code, 0) << stats.err;
-  EXPECT_NE(stats.out.find("partition stage (SON)"), std::string::npos);
-
-  EXPECT_EQ(run_cli({"itemsets", "--csv", csv, "--engine", "magic"}).code, 2);
-  EXPECT_EQ(
-      run_cli({"itemsets", "--csv", csv, "--engine", "son", "--partitions",
-               "0"})
-          .code,
-      2);
+// FP-Growth is the only miner, so the flags that once chose another are
+// unknown flags now. Every command that mines a CSV rejects them, like
+// any unknown flag, before it opens the file: the missing CSV is never
+// reported.
+TEST(Cli, RetiredMinerFlagsAreRejectedBeforeTheCsvIsRead) {
+  const std::string missing_csv = "/does/not/exist.csv";
+  const std::vector<std::vector<std::string>> commands{
+      {"itemsets"},
+      {"mine", "--keyword", "Failed"},
+      {"snapshot", "--out", temp_path("cli_retired.snap")},
+      {"predict", "--target", "Failed"},
+      {"digest", "--keyword", "Failed"},
+  };
+  const std::vector<std::pair<std::string, std::string>> retired{
+      {"algorithm", "fpgrowth"},
+      {"engine", "direct"},
+      {"partitions", "4"},
+  };
+  for (const auto& command : commands) {
+    for (const auto& [flag, value] : retired) {
+      std::vector<std::string> args = command;
+      args.insert(args.end(), {"--csv", missing_csv, "--" + flag, value});
+      const auto result = run_cli(args);
+      EXPECT_EQ(result.code, 2) << command[0] << " --" << flag;
+      EXPECT_EQ(result.err.rfind("unknown flag --" + flag, 0), 0u)
+          << command[0] << ": " << result.err;
+    }
+  }
 }
 
 TEST(Cli, SnapshotValidation) {

@@ -45,39 +45,6 @@ TEST(Arena, GrowsPastFirstBlockAndReusesRetainedBlocksAfterReset) {
       << "allocation after reset must not touch the global allocator";
 }
 
-TEST(Arena, MarkRewindReclaimsInLifoOrder) {
-  Arena arena(/*first_block_bytes=*/64);
-  const auto outer = arena.allocate_array<std::uint32_t>(8);
-  std::fill(outer.begin(), outer.end(), 0xa5a5a5a5u);
-  const std::size_t used_before = arena.bytes_used();
-
-  const Arena::Mark mark = arena.mark();
-  (void)arena.allocate_array<std::uint32_t>(100);  // spills to a new block
-  EXPECT_GT(arena.bytes_used(), used_before);
-  arena.rewind(mark);
-  EXPECT_EQ(arena.bytes_used(), used_before);
-  for (const std::uint32_t v : outer) {
-    EXPECT_EQ(v, 0xa5a5a5a5u) << "rewind must not disturb older storage";
-  }
-
-  // The rewound storage is reissued without fresh block allocation
-  // (stack discipline: footprint tracks the deepest path, not the sum
-  // of all levels), and nested mark/rewind pairs unwind like a call
-  // stack.
-  (void)arena.take_fresh_bytes();
-  const Arena::Mark level1 = arena.mark();
-  (void)arena.allocate_array<std::uint32_t>(100);
-  EXPECT_EQ(arena.take_fresh_bytes(), 0u)
-      << "the rewound block must be reissued, not reallocated";
-  const std::size_t used_level1 = arena.bytes_used();
-  const Arena::Mark level2 = arena.mark();
-  (void)arena.allocate_array<std::uint32_t>(50);
-  arena.rewind(level2);
-  EXPECT_EQ(arena.bytes_used(), used_level1);
-  arena.rewind(level1);
-  EXPECT_EQ(arena.bytes_used(), used_before);
-}
-
 TEST(ArenaPool, RecyclesArenasWithoutFreshAllocation) {
   ArenaPool pool;
   {

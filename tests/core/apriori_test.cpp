@@ -1,4 +1,4 @@
-#include "core/apriori.hpp"
+#include "oracle/apriori.hpp"
 
 #include <gtest/gtest.h>
 
@@ -102,19 +102,6 @@ TEST(MiningParams, MinCountRounding) {
   EXPECT_EQ(params.min_count(7), 7u);
   params.min_support = 1e-12;
   EXPECT_EQ(params.min_count(10), 1u);  // at least one transaction
-}
-
-TEST(MiningParams, MinCountOverrideWinsUnconditionally) {
-  MiningParams params;
-  params.min_support = 0.05;
-  params.min_count_override = 7;
-  // The fraction would give 5 over 100; the absolute count wins, and no
-  // float round trip is involved: 7 over total weight 25 stays 7 (the
-  // fraction route computes ceil((7/25) * 25) == 8 under FP rounding).
-  EXPECT_EQ(params.min_count(100), 7u);
-  EXPECT_EQ(params.min_count(25), 7u);
-  params.min_count_override = 0;  // 0 = disabled, back to the fraction
-  EXPECT_EQ(params.min_count(100), 5u);
 }
 
 }  // namespace

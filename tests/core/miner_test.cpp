@@ -2,28 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "mining_test_util.hpp"
-
 namespace gpumine::core {
 namespace {
-
-TEST(Miner, AlgorithmNames) {
-  EXPECT_EQ(to_string(Algorithm::kFpGrowth), "fpgrowth");
-  EXPECT_EQ(to_string(Algorithm::kApriori), "apriori");
-  EXPECT_EQ(to_string(Algorithm::kEclat), "eclat");
-}
-
-TEST(Miner, DispatchesToAllAlgorithms) {
-  const auto db = testutil::random_db(/*seed=*/9, /*num_txns=*/100,
-                                      /*num_items=*/8);
-  MiningParams params;
-  params.min_support = 0.1;
-  const auto fp = mine_frequent(db, params, Algorithm::kFpGrowth);
-  const auto ap = mine_frequent(db, params, Algorithm::kApriori);
-  const auto ec = mine_frequent(db, params, Algorithm::kEclat);
-  testutil::expect_same(ap.itemsets, fp.itemsets);
-  testutil::expect_same(ec.itemsets, fp.itemsets);
-}
 
 TEST(Miner, AnalyzeKeywordSplitsCauseAndCharacteristic) {
   // Item 5 is the keyword; items 0 and 5 co-occur strongly.

@@ -11,7 +11,6 @@
 
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
-#include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
@@ -66,18 +65,6 @@ TEST(MiningDeterminism, FpGrowthThreadCountInvariantOnPai) {
 
 TEST(MiningDeterminism, FpGrowthThreadCountInvariantOnPhilly) {
   check_thread_counts(encoded_philly(), "philly");
-}
-
-TEST(MiningDeterminism, EclatThreadCountInvariantOnPai) {
-  const auto db = encoded_pai();
-  MiningParams base;
-  base.num_threads = 1;
-  base.serial_cutoff_items = 0;  // small fixture: force the parallel path
-  const auto reference = mine_eclat(db, base);
-  MiningParams par = base;
-  par.num_threads = 4;
-  par.spawn_cutoff_nodes = 2;  // force deep task spawning
-  EXPECT_TRUE(same_itemsets(mine_eclat(db, par), reference));
 }
 
 TEST(MiningDeterminism, ParallelRunReportsSchedulerMetrics) {

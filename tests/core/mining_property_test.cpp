@@ -1,18 +1,17 @@
-// Property-based cross-validation of the three mining algorithms.
+// Property-based cross-validation of FP-Growth and the Apriori oracle.
 //
 // Over a parameterized sweep of random databases and thresholds:
-//  * FP-Growth == Apriori == Eclat == brute-force oracle (exact counts);
+//  * FP-Growth == Apriori == brute-force oracle (exact counts);
 //  * anti-monotonicity: supersets never out-support subsets;
 //  * thresholds are respected exactly at the boundary.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "core/apriori.hpp"
-#include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "core/support_index.hpp"
 #include "mining_test_util.hpp"
+#include "oracle/apriori.hpp"
 
 namespace gpumine::core {
 namespace {
@@ -41,7 +40,6 @@ TEST_P(MiningSweep, AllAlgorithmsAgreeWithOracle) {
   const auto oracle = brute_force(db, params);
   expect_same(mine_fpgrowth(db, params).itemsets, oracle);
   expect_same(mine_apriori(db, params).itemsets, oracle);
-  expect_same(mine_eclat(db, params).itemsets, oracle);
 }
 
 TEST_P(MiningSweep, AntiMonotonicity) {

@@ -1,9 +1,9 @@
 // Weighted (deduplicated) transactions must be observationally
 // equivalent to the expanded database: TransactionDb::dedup() folds
 // identical rows into multiplicities, support math runs over
-// total_weight(), and every miner — FP-Growth, Eclat, Apriori,
-// partitioned — plus rule generation must produce byte-identical
-// results on the weighted form, at any thread count.
+// total_weight(), and FP-Growth (at any thread count), the Apriori
+// oracle and rule generation must produce byte-identical results on
+// the weighted form.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,11 +14,10 @@
 
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
-#include "core/apriori.hpp"
-#include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "core/rules.hpp"
 #include "core/support_index.hpp"
+#include "oracle/apriori.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
 #include "synth/supercloud.hpp"
@@ -100,8 +99,9 @@ TEST(WeightedDb, RejectsZeroWeight) {
 
 // Mining the deduplicated database must reproduce the expanded
 // database's itemsets exactly (same_itemsets: every id and count, in
-// order, and db_size), for every algorithm and thread count, and the
-// derived rules must carry bit-identical metrics.
+// order, and db_size), for FP-Growth at every thread count and for the
+// Apriori oracle, and the derived rules must carry bit-identical
+// metrics.
 void check_weighted_equivalence(const TransactionDb& db, const char* label) {
   const TransactionDb deduped = db.dedup();
   ASSERT_LT(deduped.size(), db.size())
@@ -122,8 +122,6 @@ void check_weighted_equivalence(const TransactionDb& db, const char* label) {
     params.num_threads = threads;
     EXPECT_TRUE(same_itemsets(mine_fpgrowth(deduped, params), reference))
         << label << " fpgrowth threads=" << threads;
-    EXPECT_TRUE(same_itemsets(mine_eclat(deduped, params), reference))
-        << label << " eclat threads=" << threads;
   }
   EXPECT_TRUE(same_itemsets(mine_apriori(deduped, base), reference))
       << label << " apriori";

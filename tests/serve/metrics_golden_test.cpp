@@ -37,31 +37,6 @@ core::MiningMetrics full_mining_metrics() {
   // Eleven depths, so the exposition's label sort puts "10" before "2".
   m.depth_histogram = {700, 600, 500, 400, 300, 200, 110, 90, 70, 50, 30};
 
-  core::KernelMetrics& k = m.kernel_stage;
-  k.tier = "avx2";
-  k.dense_intersections = 1101;
-  k.sparse_intersections = 1102;
-  k.mixed_intersections = 1103;
-  k.diff_operations = 1104;
-  k.diffset_switches = 1105;
-  k.dense_sets_built = 1106;
-  k.sparse_sets_built = 1107;
-  k.words_scanned = 4294967297;  // 2^32 + 1
-  k.elements_merged = 1109;
-
-  core::PartitionMetrics& p = m.partition_stage;
-  p.num_partitions = 4;
-  p.num_threads = 5;
-  p.partition_itemsets = {4447, 4081, 4310, 4306};
-  p.input_rows = 20001;
-  p.distinct_rows = 19905;
-  p.candidates = 4821;
-  p.verified = 4276;
-  p.false_candidate_rate = 545.0 / 4821.0;
-  p.verify_shards = 16;
-  p.pass1_seconds = 0.0492439;
-  p.pass2_seconds = 0.0468979;
-
   core::RuleStageMetrics& r = m.rule_stage;
   r.num_threads = 6;
   r.itemsets_considered = 4224;

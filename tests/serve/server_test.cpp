@@ -84,6 +84,28 @@ TEST(Server, HttpResponsesMatchTheHandler) {
   server.stop();
 }
 
+// Header lines past the first 4 KiB recv() grow the connection buffer.
+// The request line must survive that growth: it was once read from the
+// buffer's freed storage, and `GET /healthz` came back 404.
+TEST(Server, ManyHeaderLinesKeepTheRequestLine) {
+  RequestHandler handler(engine_fixture(), "");
+  Server server(handler, {});
+  ASSERT_TRUE(server.start().ok());
+
+  for (const int headers : {0, 10, 1000, 5000}) {
+    std::string request = "GET /healthz HTTP/1.1\r\n";
+    for (int i = 0; i < headers; ++i) request += "X: y\r\n";
+    request += "\r\n";
+    const std::string reply = line_session(server.port(), request);
+    const std::size_t body = reply.find("\r\n\r\n");
+    ASSERT_NE(body, std::string::npos) << headers << " headers: " << reply;
+    EXPECT_EQ(reply.rfind("HTTP/1.1 200 ", 0), 0u)
+        << headers << " headers: " << reply.substr(0, body);
+    EXPECT_EQ(reply.substr(body + 4), "ok\n") << headers << " headers";
+  }
+  server.stop();
+}
+
 TEST(Server, LineProtocolSessionHandlesMultipleCommands) {
   auto engine = engine_fixture();
   RequestHandler handler(engine, "");
