@@ -1,13 +1,14 @@
-// Shared scaffolding for the figure/table reproduction benches.
+// Shared scaffolding for the figure/table reproduction binaries.
 //
-// Every bench regenerates its synthetic trace(s) with a fixed seed and
-// prints the seed and job counts, so any row in bench_output.txt can be
-// re-derived exactly. Sizes are scaled-down from the originals (850k /
-// 98k / 100k jobs) to keep the whole harness fast on one core; the rule
-// structure is driven by proportions, not absolute counts.
+// Each binary regenerates its synthetic trace(s) with a fixed seed and
+// prints the seed and job counts, so every row it prints can be
+// re-derived exactly. Sizes are scaled down from the originals (850k /
+// 98k / 100k jobs) to keep a full run of bench/ fast on one core; the
+// rule structure is driven by proportions, not absolute counts. These
+// binaries reproduce the paper's numbers and gate on no timing; the one
+// timing harness is perf_e2e/ (see BENCHMARK.json).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -67,27 +68,6 @@ inline TraceBundle make_philly() {
   std::printf("[gen] Philly: %zu jobs, seed %llu\n", cfg.num_jobs,
               static_cast<unsigned long long>(cfg.seed));
   return {"Philly", synth::generate_philly(cfg), analysis::philly_config()};
-}
-
-/// Best-of-N wall clock of `fn()`, in milliseconds — the one timing
-/// helper every perf_* harness shares. Best (not mean) is the right
-/// statistic for a perf gate: scheduler and allocator noise only ever
-/// add time, so the minimum is the closest observable to the true cost
-/// of the code under test. A bench that also asserts on the computed
-/// output captures a result variable and assigns it inside `fn` (every
-/// rep recomputes it; the last assignment wins).
-template <typename Fn>
-double best_of_ms(Fn&& fn, int reps = 3) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto begin = std::chrono::steady_clock::now();
-    fn();
-    const auto end = std::chrono::steady_clock::now();
-    best = std::min(
-        best,
-        std::chrono::duration<double, std::milli>(end - begin).count());
-  }
-  return best;
 }
 
 class Stopwatch {

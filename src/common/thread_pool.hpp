@@ -1,5 +1,6 @@
-// Work-stealing thread pool used by the parallel miners and the bench
-// harness.
+// Work-stealing thread pool behind every multi-threaded stage (CSV
+// chunks, binning, encoding, FP-Growth, rule generation) and the
+// server's connection workers.
 //
 // Each worker owns a Chase–Lev-style deque (owner pushes and pops at the
 // bottom, LIFO; thieves take from the top, FIFO), guarded by a per-deque

@@ -34,10 +34,10 @@ struct MiningParams {
   /// Work-size floor for going parallel at all: when the rank-encoded
   /// database holds fewer item occurrences than this, FP-Growth mines
   /// serially even if num_threads > 1 — on inputs this small, pool
-  /// startup and task overhead cost more than the mining (the PR 2/3
-  /// bench trajectory recorded parallel *slower* than serial on the
-  /// smoke workload). 0 disables the fallback (tests use this to force
-  /// the parallel path on small fixtures).
+  /// startup and task overhead cost more than the mining (parallel
+  /// mining once measured *slower* than serial on a small synthetic
+  /// database). 0 disables the fallback (tests use this to force the
+  /// parallel path on small fixtures).
   std::size_t serial_cutoff_items = 131072;
 
   /// Converts the fractional threshold into an absolute count over a
@@ -77,9 +77,8 @@ struct PrepStageMetrics {
 /// Observability counters for the downstream rule stage — rule
 /// generation (Sec. III-B) and keyword pruning (Sec. III-D) — filled by
 /// `generate_rules` / `prune_rules` via `analyze_keyword` and rendered
-/// as part of `mine --stats` and the `bench/perf_rules` JSON. All
-/// fields are zero until a rule stage has run; see docs/RULES.md for
-/// the schema.
+/// as part of `mine --stats` and `--stats-json`. All fields are zero
+/// until a rule stage has run; see docs/RULES.md for the schema.
 struct RuleStageMetrics {
   std::size_t num_threads = 1;            // rule-generation shard width
   std::uint64_t itemsets_considered = 0;  // itemsets with >= 2 items
@@ -101,8 +100,8 @@ struct RuleStageMetrics {
 };
 
 /// Observability counters for one FP-Growth run on the work-stealing
-/// scheduler. Rendered by `gpumine mine --stats` and emitted as JSON by
-/// the bench harness; the scheduler fields stay zero for a serial run.
+/// scheduler. Rendered by `gpumine mine --stats` and `--stats-json`;
+/// the scheduler fields stay zero for a serial run.
 struct MiningMetrics {
   std::size_t num_workers = 1;        // scheduler width (1 = sequential)
   std::uint64_t tasks_spawned = 0;    // scheduler tasks submitted
@@ -172,8 +171,7 @@ void sort_canonical(std::vector<FrequentItemset>& itemsets);
 
 /// True when `a` and `b` list the same itemsets in the same order with
 /// the same counts over the same db_size; metrics are not compared. The
-/// equivalence tests and the bench harnesses' equality gates all
-/// compare mining results through this.
+/// equivalence tests all compare mining results through this.
 [[nodiscard]] bool same_itemsets(const MiningResult& a, const MiningResult& b);
 
 }  // namespace gpumine::core

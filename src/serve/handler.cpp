@@ -204,6 +204,9 @@ HttpResponse RequestHandler::route(std::string_view method,
       return error_response(400, "missing ?items=A,B");
     }
     const std::vector<std::string> names = split_names(*items);
+    // ",,," names no item; the empty set's support is the whole
+    // database, which is not what a probe asks for.
+    if (names.empty()) return error_response(400, "no items in ?items=");
     const std::shared_ptr<const QueryEngine> engine = handle_.get();
     const auto count = engine->support_count(names);
     std::string body = "{\"items\":[";

@@ -1,9 +1,10 @@
 // RequestHandler: protocol-independent request routing for the rule
 // server.
 //
-// The socket layer (serve/server.hpp) and the in-process bench
-// (bench/perf_serve.cpp) both drive this one entry point, so the
-// serving logic is testable — and benchmarkable — without a network.
+// The socket layer (serve/server.hpp) and the tests drive this one
+// entry point, so the serving logic is testable without a network;
+// perf_e2e calls it in-process for its reference replies and its
+// serve.handle_* timings.
 //
 // Endpoints (HTTP targets; the line protocol maps onto the same ones):
 //   GET  /query?keyword=NAME    pre-rendered rule JSON for the keyword

@@ -7,7 +7,9 @@
 // clock read plus one fetch_add, with no locks on the serving path.
 // Percentiles are read back as the upper bound of the bucket holding
 // the requested rank: an estimate within 2x of the true latency, which
-// is what a tail-latency gate needs (the bench asserts against these).
+// is enough to compare a tail with what clients see (perf_e2e reports
+// the query p99 from /stats against its clients' as
+// serve.reported_p99_gap).
 //
 // ServerMetrics aggregates one histogram per endpoint plus error and
 // reload counters; snapshot() returns a consistent-enough copy for

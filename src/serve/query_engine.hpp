@@ -75,8 +75,7 @@ class QueryEngine {
   [[nodiscard]] std::size_t num_keywords_with_rules() const {
     return keywords_with_rules_;
   }
-  /// Every keyword name, in catalog (id) order — the bench and the
-  /// /stats endpoint iterate this.
+  /// Every keyword name, in catalog (id) order.
   [[nodiscard]] std::vector<std::string> keyword_names() const;
 
  private:

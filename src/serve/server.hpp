@@ -14,7 +14,7 @@
 // The split keeps every interesting decision in RequestHandler (routing,
 // metrics, reload) where it is unit-testable without sockets; this file
 // is only fd plumbing. Binding port 0 picks an ephemeral port (read it
-// back with port()) so tests and the bench never collide.
+// back with port()) so tests and perf_e2e never collide.
 //
 // stop() is graceful and prompt: the listener closes, in-flight
 // connections are shut down, and the worker pool drains before stop()

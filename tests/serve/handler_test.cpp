@@ -74,6 +74,12 @@ TEST(RequestHandler, SupportEndpoint) {
   EXPECT_NE(miss.body.find("\"frequent\":false"), std::string::npos);
 
   EXPECT_EQ(handler.handle("GET", "/support").status, 400);
+  // Separators with no names: the empty itemset is not a query.
+  for (const char* target : {"/support?items=,,,", "/support?items=%2C"}) {
+    const HttpResponse empty = handler.handle("GET", target);
+    EXPECT_EQ(empty.status, 400) << target;
+    EXPECT_EQ(empty.body, "{\"error\":\"no items in ?items=\"}") << target;
+  }
 }
 
 TEST(RequestHandler, HealthAndStats) {
@@ -104,6 +110,7 @@ TEST(RequestHandler, LineProtocolMapsOntoHttpEndpoints) {
   EXPECT_NE(handler.handle_line("SUPPORT Failed").body.find(
                 "\"frequent\":true"),
             std::string::npos);
+  EXPECT_EQ(handler.handle_line("SUPPORT ,,,").status, 400);
   EXPECT_EQ(handler.handle_line("STATS").status, 200);
   EXPECT_EQ(handler.handle_line("BOGUS x").status, 400);
 }
@@ -154,7 +161,25 @@ TEST(RequestHandler, ReloadSwapsInTheNewSnapshot) {
   ASSERT_TRUE(saved.ok());
 
   RequestHandler handler(engine_fixture(4), path);
-  const std::string before = handler.handle("GET", "/stats").body;
+  const auto query_every_keyword = [&handler] {
+    std::vector<std::string> bodies;
+    for (const std::string& keyword : handler.engine()->keyword_names()) {
+      const HttpResponse response =
+          handler.handle("GET", testutil::query_target(keyword));
+      EXPECT_EQ(response.status, 200) << keyword;
+      bodies.push_back(response.body);
+    }
+    return bodies;
+  };
+
+  // Reloading the unchanged file swaps in a new engine that answers
+  // every keyword with the same bytes.
+  const std::vector<std::string> before = query_every_keyword();
+  ASSERT_EQ(before.size(), 4u);
+  const auto first_engine = handler.engine();
+  ASSERT_EQ(handler.handle("POST", "/reload").status, 200);
+  EXPECT_NE(handler.engine().get(), first_engine.get());
+  EXPECT_EQ(query_every_keyword(), before);
   const auto old_engine = handler.engine();
 
   // Overwrite the file with a differently-seeded snapshot and reload.

@@ -2,6 +2,7 @@
 // human-readable item names, deterministic per seed.
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,6 +40,24 @@ inline core::RuleSnapshot snapshot_fixture(std::uint64_t seed = 4,
   return core::build_rule_snapshot(core::mine_fpgrowth(db, mining),
                                    std::move(catalog), rules,
                                    core::PruneParams{});
+}
+
+/// "/query?keyword=NAME" with every byte of NAME outside [A-Za-z0-9]
+/// percent-encoded, so any catalog name fits in an HTTP request line.
+inline std::string query_target(const std::string& keyword) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  std::string target = "/query?keyword=";
+  for (const char c : keyword) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (std::isalnum(byte) != 0) {
+      target += c;
+    } else {
+      target += '%';
+      target += kHex[byte >> 4];
+      target += kHex[byte & 15];
+    }
+  }
+  return target;
 }
 
 }  // namespace gpumine::serve::testutil

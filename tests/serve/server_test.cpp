@@ -131,18 +131,22 @@ TEST(Server, ConcurrentClientsGetIdenticalBytes) {
   Server server(handler, config);
   ASSERT_TRUE(server.start().ok());
 
-  const std::string expected = *engine->query_json("Failed");
+  // Each client cycles through every catalog keyword twice, starting at
+  // its own offset, so different keywords are in flight at once.
+  const std::vector<std::string> keywords = engine->keyword_names();
+  ASSERT_EQ(keywords.size(), 4u);
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
-  for (int t = 0; t < 8; ++t) {
-    clients.emplace_back([&] {
-      for (int i = 0; i < 5; ++i) {
-        const auto response =
-            http_get("127.0.0.1", server.port(), "/query?keyword=Failed");
+  for (std::size_t t = 0; t < 8; ++t) {
+    clients.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 2 * keywords.size(); ++i) {
+        const std::string& keyword = keywords[(t + i) % keywords.size()];
+        const auto response = http_get("127.0.0.1", server.port(),
+                                       testutil::query_target(keyword));
         if (!response.ok() || response.value().status != 200) {
           failures.fetch_add(1);
-        } else if (response.value().body != expected) {
+        } else if (response.value().body != *engine->query_json(keyword)) {
           mismatches.fetch_add(1);
         }
       }

@@ -9,9 +9,12 @@ The classes of rot this catches:
    pure anchors (``#section``) and paths escaping the repo root (e.g.
    the CI badge's ``../../actions`` URL) are skipped.
 
-2. Phantom examples: every ``examples/<name>.cpp`` mentioned anywhere
-   in the checked documents must exist on disk AND be registered in
-   examples/CMakeLists.txt, so documented examples always build.
+2. Phantom binaries: every ``examples/<name>.cpp`` and every
+   ``bench/<name>`` binary (or its ``bench/<name>.cpp`` source)
+   mentioned anywhere in the checked documents must exist on disk as
+   ``<dir>/<name>.cpp`` AND be registered in ``<dir>/CMakeLists.txt``,
+   so documented binaries always build and a deleted one cannot
+   linger in the docs.
 
 3. Undocumented metrics: every object key appearing (recursively) in
    the stats fixture must appear backticked in docs/OBSERVABILITY.md.
@@ -45,7 +48,19 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # [text](target) — target up to the first closing paren (no nesting in
 # our docs); images ![alt](target) match the same pattern.
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-EXAMPLE = re.compile(r"examples/([A-Za-z0-9_]+)\.cpp")
+# Documented binaries per directory: the mention pattern and the CMake
+# helper that registers one there. A bench mention may carry ".cpp";
+# any other extension (bench_util.hpp, CMakeLists.txt) is not a binary.
+BINARIES = {
+    "examples": (
+        re.compile(r"examples/([A-Za-z0-9_]+)\.cpp"),
+        "gpumine_add_example",
+    ),
+    "bench": (
+        re.compile(r"(?<![\w.])bench/([A-Za-z0-9_]+)(?!\w)(?!\.(?!cpp\b)\w)"),
+        "gpumine_add_bench",
+    ),
+}
 
 
 def checked_documents():
@@ -72,20 +87,29 @@ def check_links(doc, problems):
             )
 
 
-def check_examples(doc, problems, registered):
+def registered_binaries(directory, helper):
+    """Targets `directory`/CMakeLists.txt builds: plain add_executable
+    calls plus calls of the directory's own helper function."""
+    cmake = (REPO / directory / "CMakeLists.txt").read_text()
+    return set(re.findall(r"add_executable\((\w+)", cmake)) | set(
+        re.findall(re.escape(helper) + r"\((\w+)", cmake)
+    )
+
+
+def check_binaries(doc, problems, registered):
     text = doc.read_text(encoding="utf-8")
-    for name in sorted(set(EXAMPLE.findall(text))):
-        source = REPO / "examples" / f"{name}.cpp"
-        if not source.is_file():
-            problems.append(
-                f"{doc.relative_to(REPO)}: references missing "
-                f"examples/{name}.cpp"
-            )
-        elif name not in registered:
-            problems.append(
-                f"{doc.relative_to(REPO)}: examples/{name}.cpp is not "
-                "registered in examples/CMakeLists.txt (it will not build)"
-            )
+    for directory, (mention, _) in BINARIES.items():
+        for name in sorted(set(mention.findall(text))):
+            source = f"{directory}/{name}.cpp"
+            if not (REPO / source).is_file():
+                problems.append(
+                    f"{doc.relative_to(REPO)}: references missing {source}"
+                )
+            elif name not in registered[directory]:
+                problems.append(
+                    f"{doc.relative_to(REPO)}: {source} is not registered "
+                    f"in {directory}/CMakeLists.txt (it will not build)"
+                )
 
 
 def json_object_keys(value, keys):
@@ -180,10 +204,10 @@ def fixture_args(args, flag):
 
 
 def main():
-    cmake = REPO / "examples" / "CMakeLists.txt"
-    registered = set(
-        re.findall(r"add_executable\((\w+)", cmake.read_text())
-    ) | set(re.findall(r"gpumine_add_example\((\w+)", cmake.read_text()))
+    registered = {
+        directory: registered_binaries(directory, helper)
+        for directory, (_, helper) in BINARIES.items()
+    }
 
     fixtures = REPO / "tools" / "fixtures"
     args = sys.argv[1:]
@@ -198,7 +222,7 @@ def main():
     docs = checked_documents()
     for doc in docs:
         check_links(doc, problems)
-        check_examples(doc, problems, registered)
+        check_binaries(doc, problems, registered)
     check_stats_schema(stats, problems)
     check_metrics_families(metrics, problems)
 
