@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <ranges>
 
 namespace gpumine::analysis {
 namespace {
@@ -69,12 +70,15 @@ void append_json_items(std::string& out, const core::Itemset& items,
   out += ']';
 }
 
-void append_json_rules(std::string& out, const std::vector<core::Rule>& rules,
+// Any range of rules: a KeywordAnalysis list or a view over indices.
+template <typename Rules>
+void append_json_rules(std::string& out, Rules&& rules,
                        const core::ItemCatalog& catalog) {
   out += '[';
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    if (i > 0) out += ',';
-    const core::Rule& r = rules[i];
+  bool first = true;
+  for (const core::Rule& r : rules) {
+    if (!first) out += ',';
+    first = false;
     out += "{\"antecedent\":";
     append_json_items(out, r.antecedent, catalog);
     out += ",\"consequent\":";
@@ -93,6 +97,20 @@ std::string md_escape(std::string s) {
     if (c == '|') out += '\\';
     out += c;
   }
+  return out;
+}
+
+template <typename Cause, typename Characteristic>
+std::string keyword_json(core::ItemId keyword, Cause&& cause,
+                         Characteristic&& characteristic,
+                         const core::ItemCatalog& catalog) {
+  std::string out = "{\"keyword\":\"";
+  out += json_escape(catalog.name(keyword));
+  out += "\",\"cause\":";
+  append_json_rules(out, cause, catalog);
+  out += ",\"characteristic\":";
+  append_json_rules(out, characteristic, catalog);
+  out += "}";
   return out;
 }
 
@@ -150,14 +168,23 @@ std::string rules_to_csv(const core::KeywordAnalysis& analysis,
 
 std::string rules_to_json(const core::KeywordAnalysis& analysis,
                           const core::ItemCatalog& catalog) {
-  std::string out = "{\"keyword\":\"";
-  out += json_escape(catalog.name(analysis.keyword));
-  out += "\",\"cause\":";
-  append_json_rules(out, analysis.cause, catalog);
-  out += ",\"characteristic\":";
-  append_json_rules(out, analysis.characteristic, catalog);
-  out += "}";
-  return out;
+  return keyword_json(analysis.keyword, analysis.cause,
+                      analysis.characteristic, catalog);
+}
+
+std::string rules_to_json(core::ItemId keyword,
+                          const std::vector<core::Rule>& rules,
+                          std::span<const std::uint32_t> survivors,
+                          const core::ItemCatalog& catalog) {
+  const auto side = [&](bool cause) {
+    return survivors |
+           std::views::transform(
+               [&](std::uint32_t i) -> const core::Rule& { return rules[i]; }) |
+           std::views::filter([keyword, cause](const core::Rule& r) {
+             return core::contains(r.consequent, keyword) == cause;
+           });
+  };
+  return keyword_json(keyword, side(true), side(false), catalog);
 }
 
 std::string rules_to_markdown(const core::KeywordAnalysis& analysis,

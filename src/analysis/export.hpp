@@ -9,6 +9,8 @@
 // All writers are deterministic: same input, byte-identical output.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,15 @@ namespace gpumine::analysis {
 /// "support": s, "confidence": c, "lift": l}.
 [[nodiscard]] std::string rules_to_json(const core::KeywordAnalysis& analysis,
                                         const core::ItemCatalog& catalog);
+
+/// The same document for a keyword's survivors given as indices into
+/// `rules` (as core::prune_rules returns them): the ones holding the
+/// keyword in the consequent are the cause rows, the rest the
+/// characteristic rows, each in `survivors` order.
+[[nodiscard]] std::string rules_to_json(
+    core::ItemId keyword, const std::vector<core::Rule>& rules,
+    std::span<const std::uint32_t> survivors,
+    const core::ItemCatalog& catalog);
 
 /// GitHub-flavoured Markdown table in the paper's column layout.
 [[nodiscard]] std::string rules_to_markdown(

@@ -1092,23 +1092,33 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
   out << "serving on " << host << ':' << server.port() << " with "
       << config.num_threads << " threads\n";
   if (check_only) {
-    // Exercise the handler once so --check verifies the request path
-    // (and a --trace session has request spans to export).
-    const serve::HttpResponse health = handler.handle("GET", "/healthz");
-    if (health.status != 200) {
-      err << "health check failed with status " << health.status << "\n";
+    // Probe the live socket, so --check verifies the accept and reply
+    // path as well as the handler (and a --trace session has request
+    // spans to export): /healthz, then scrape /metrics and lint the
+    // document the way promtool would.
+    out << "probing " << host << ':' << server.port() << "\n";
+    const auto probe = [&](const char* target,
+                           const char* what) -> std::optional<std::string> {
+      const auto response = serve::http_get(host, server.port(), target);
+      if (!response.ok()) {
+        err << what << " check failed: " << response.error().to_string()
+            << "\n";
+        return std::nullopt;
+      }
+      if (response.value().status != 200) {
+        err << what << " check failed with status "
+            << response.value().status << "\n";
+        return std::nullopt;
+      }
+      return response.value().body;
+    };
+    const auto health = probe("/healthz", "health");
+    const auto metrics = health ? probe("/metrics", "metrics") : std::nullopt;
+    if (!metrics) {
       server.stop();
       return 1;
     }
-    // And the exposition path: scrape /metrics, then lint the document
-    // the way promtool would.
-    const serve::HttpResponse metrics = handler.handle("GET", "/metrics");
-    if (metrics.status != 200) {
-      err << "metrics check failed with status " << metrics.status << "\n";
-      server.stop();
-      return 1;
-    }
-    const auto lint = validate_prometheus_text(metrics.body);
+    const auto lint = validate_prometheus_text(*metrics);
     if (!lint.ok()) {
       err << "metrics self-check failed: " << lint.error().to_string()
           << "\n";
@@ -1123,7 +1133,7 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
       return 1;
     }
     if (!metrics_out_path.empty() &&
-        !write_metrics_file(metrics_out_path, metrics.body, out, err)) {
+        !write_metrics_file(metrics_out_path, *metrics, out, err)) {
       return 1;
     }
     return session.finish(out) ? 0 : 1;

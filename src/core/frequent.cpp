@@ -76,15 +76,9 @@ void describe(const RuleStageMetrics& m, MetricSink& sink) {
             {"gpumine_rules_pruned_total", kCounter,
              "Rules removed, by interpretability pruning condition"},
             "condition", /*first=*/1);
-  sink.value("prune_buckets", m.prune_buckets,
-             {"gpumine_rules_prune_buckets", kGauge,
-              "Buckets in the pruning candidate index"});
-  sink.value("prune_max_bucket", m.prune_max_bucket,
-             {"gpumine_rules_prune_max_bucket", kGauge,
-              "Largest single pruning-index bucket"});
   sink.value("prune_pair_comparisons", m.prune_pair_comparisons,
              {"gpumine_rules_prune_pair_comparisons_total", kCounter,
-              "Nested-pair subset tests performed while pruning"});
+              "Nested-pair candidates looked up while pruning"});
   sink.value("generation_seconds", m.generation_seconds, seconds,
              {{"phase", "generation"}});
   sink.value("prune_seconds", m.prune_seconds, seconds,

@@ -88,10 +88,7 @@ struct RuleStageMetrics {
   /// Rules removed by pruning condition i (index i-1); a rule pruned by
   /// several conditions counts once per condition that fired.
   std::array<std::uint64_t, 4> pruned_by_condition{0, 0, 0, 0};
-  /// Shape of the pruning candidate index: buckets across both passes,
-  /// the largest single bucket, and nested-pair subset tests performed.
-  std::uint64_t prune_buckets = 0;
-  std::uint64_t prune_max_bucket = 0;
+  /// Nested-pair candidates the pruner looked up (PruneStats).
   std::uint64_t prune_pair_comparisons = 0;
   double generation_seconds = 0.0;  // generate_rules wall time
   double prune_seconds = 0.0;       // prune_rules wall time

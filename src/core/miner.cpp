@@ -39,8 +39,6 @@ KeywordAnalysis analyze_keyword(const MiningResult& mined,
   for (std::size_t c = 0; c < 4; ++c) {
     analysis.stage.pruned_by_condition[c] = analysis.prune_stats.pruned_by[c];
   }
-  analysis.stage.prune_buckets = analysis.prune_stats.num_buckets;
-  analysis.stage.prune_max_bucket = analysis.prune_stats.max_bucket;
   analysis.stage.prune_pair_comparisons =
       analysis.prune_stats.pair_comparisons;
 

@@ -1,7 +1,8 @@
 #include "core/pruning.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <numeric>
 
 #include "common/ensure.hpp"
 #include "common/trace.hpp"
@@ -9,20 +10,68 @@
 namespace gpumine::core {
 namespace {
 
-// Strict subset: a ⊂ b.
-bool proper_subset(const Itemset& a, const Itemset& b) {
-  return a.size() < b.size() && is_subset(a, b);
+// FNV-1a over |X|, X and Y, then the murmur3 finalizer so the low bits
+// that pick a slot depend on every item.
+std::uint64_t key_hash(std::span<const ItemId> x, std::span<const ItemId> y) {
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  std::uint64_t h = (1469598103934665603ull ^ x.size()) * kPrime;
+  for (const ItemId id : x) h = (h ^ id) * kPrime;
+  for (const ItemId id : y) h = (h ^ id) * kPrime;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
 }
 
-using BucketMap =
-    std::unordered_map<Itemset, std::vector<std::size_t>, ItemsetHash,
-                       ItemsetEq>;
+bool same_items(std::span<const ItemId> a, std::span<const ItemId> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 }  // namespace
 
 void PruneParams::validate() const {
   GPUMINE_CHECK_ARG(c_lift >= 1.0, "c_lift must be >= 1");
   GPUMINE_CHECK_ARG(c_supp >= 1.0, "c_supp must be >= 1");
+}
+
+RuleLookup::RuleLookup(const std::vector<Rule>& rules)
+    : rules_(rules), next_(rules.size(), kNone) {
+  GPUMINE_CHECK_ARG(rules.size() < kNone, "too many rules for a RuleLookup");
+  // At most half full, so a miss ends after a short run of slots.
+  slots_.resize(std::bit_ceil(std::max<std::size_t>(16, 2 * rules.size())));
+  mask_ = slots_.size() - 1;
+}
+
+void RuleLookup::add(std::uint32_t rule) {
+  const Rule& r = rules_[rule];
+  Slot& slot = slots_[slot_of(r.antecedent, r.consequent)];
+  next_[rule] = slot.head;  // kNone, or the rules with the same sides
+  slot = {static_cast<std::uint32_t>(
+              key_hash(r.antecedent, r.consequent) >> 32),
+          rule};
+}
+
+std::uint32_t RuleLookup::find(std::span<const ItemId> antecedent,
+                               std::span<const ItemId> consequent) const {
+  return slots_[slot_of(antecedent, consequent)].head;
+}
+
+std::size_t RuleLookup::slot_of(std::span<const ItemId> antecedent,
+                                std::span<const ItemId> consequent) const {
+  const std::uint64_t h = key_hash(antecedent, consequent);
+  const auto tag = static_cast<std::uint32_t>(h >> 32);
+  for (std::size_t s = h & mask_;; s = (s + 1) & mask_) {
+    const Slot& slot = slots_[s];
+    if (slot.head == kNone) return s;
+    if (slot.tag != tag) continue;
+    const Rule& held = rules_[slot.head];
+    if (same_items(held.antecedent, antecedent) &&
+        same_items(held.consequent, consequent)) {
+      return s;
+    }
+  }
 }
 
 std::vector<Rule> filter_keyword(const std::vector<Rule>& rules,
@@ -47,85 +96,68 @@ std::vector<Rule> filter_keyword(const std::vector<Rule>& rules,
   return out;
 }
 
-std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
-                              const PruneParams& params, PruneStats* stats) {
+std::vector<std::uint32_t> prune_rules(const std::vector<Rule>& rules,
+                                       const RuleLookup& lookup,
+                                       std::span<const std::uint32_t> keyed,
+                                       ItemId keyword,
+                                       const PruneParams& params,
+                                       PruneStats* stats) {
   GPUMINE_SPAN("rules/prune");
   params.validate();
   const double cl = params.c_lift;
   const double cs = params.c_supp;
-  const std::size_t n = rules.size();
-  std::vector<bool> pruned(n, false);
   std::array<std::size_t, 4> by{0, 0, 0, 0};
+  std::size_t probes = 0;
 
-  auto mark = [&](std::size_t idx, std::size_t condition) {
-    pruned[idx] = true;
+  // Marks by rule index. Every hit holds the keyword, so every rule
+  // marked is one of `keyed`, through which the survivors are read back.
+  std::vector<bool> pruned(rules.size(), false);
+  auto mark = [&](std::uint32_t rule, std::size_t condition) {
+    pruned[rule] = true;
     ++by[condition - 1];
   };
 
-  // Keyword-side membership, computed once per rule instead of once per
-  // candidate pair.
-  std::vector<char> kw_in_antecedent(n);
-  std::vector<char> kw_in_consequent(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    kw_in_antecedent[i] =
-        contains(rules[i].antecedent, keyword) ? char{1} : char{0};
-    kw_in_consequent[i] =
-        contains(rules[i].consequent, keyword) ? char{1} : char{0};
-  }
-
-  // Conditions 1 and 4 compare rules with identical consequents;
-  // conditions 2 and 3 compare rules with identical antecedents. Bucket
-  // by the shared side, keyed additionally by keyword relevance: a rule
-  // that holds the keyword on neither side can neither fire nor suffer
-  // any condition, so it never enters a bucket (and passes through, as
-  // the header contract promises). This takes the pass from O(n^2) over
-  // all rules to the sum of bucket^2 over keyword-relevant buckets.
-  BucketMap by_consequent;
-  BucketMap by_antecedent;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (kw_in_consequent[i] != 0 || kw_in_antecedent[i] != 0) {
-      by_consequent[rules[i].consequent].push_back(i);
-      by_antecedent[rules[i].antecedent].push_back(i);
+  // Looks up every proper subset S of `nested` (the empty one included),
+  // or with `need_keyword` only those holding the keyword, paired with
+  // the unchanged `shared` side, and hands each rule found to `apply`.
+  Itemset subset;
+  auto probe = [&](const Itemset& nested, const Itemset& shared,
+                   bool nested_is_antecedent, bool need_keyword,
+                   auto&& apply) {
+    const std::size_t k = nested.size();
+    GPUMINE_ENSURE(k < 32, "rule side too long for mask enumeration");
+    std::uint32_t required = 0;  // the keyword's bit, if S must hold it
+    if (need_keyword) {
+      required = 1u << (std::lower_bound(nested.begin(), nested.end(),
+                                         keyword) -
+                        nested.begin());
     }
-  }
-
-  std::size_t max_bucket = 0;
-  std::size_t pair_comparisons = 0;
-
-  // Walks one bucket: orders its rules by the length of the nested side
-  // (`nested` selects it), then subset-tests only strictly-shorter
-  // against strictly-longer — equal lengths can never nest, and the
-  // ordered scan visits exactly the (shorter, longer) pairs the old
-  // all-pairs loop found. `apply(i, j)` receives a candidate nested pair.
-  auto scan_bucket = [&](std::vector<std::size_t>& bucket,
-                         const Itemset Rule::* nested, auto&& apply) {
-    max_bucket = std::max(max_bucket, bucket.size());
-    if (bucket.size() < 2) return;
-    std::sort(bucket.begin(), bucket.end(),
-              [&](std::size_t x, std::size_t y) {
-                return (rules[x].*nested).size() < (rules[y].*nested).size();
-              });
-    for (std::size_t p = 0; p < bucket.size(); ++p) {
-      for (std::size_t q = p + 1; q < bucket.size(); ++q) {
-        const std::size_t i = bucket[p];  // candidate shorter rule
-        const std::size_t j = bucket[q];  // candidate longer rule
-        if ((rules[i].*nested).size() >= (rules[j].*nested).size()) continue;
-        ++pair_comparisons;
-        if (!proper_subset(rules[i].*nested, rules[j].*nested)) continue;
-        apply(i, j);
+    const std::uint32_t full = (1u << k) - 1;
+    for (std::uint32_t mask = 0; mask < full; ++mask) {
+      if ((mask & required) != required) continue;
+      subset.clear();
+      for (std::size_t bit = 0; bit < k; ++bit) {
+        if ((mask >> bit) & 1u) subset.push_back(nested[bit]);
       }
+      ++probes;
+      std::uint32_t i = nested_is_antecedent ? lookup.find(subset, shared)
+                                             : lookup.find(shared, subset);
+      for (; i != RuleLookup::kNone; i = lookup.next(i)) apply(i);
     }
   };
 
-  // Same consequent, nested antecedents: Conditions 1 and 4.
-  for (auto& [consequent, bucket] : by_consequent) {
-    const bool kw_in_shared = contains(consequent, keyword);
-    scan_bucket(bucket, &Rule::antecedent, [&](std::size_t i, std::size_t j) {
+  for (const std::uint32_t j : keyed) {
+    const Rule& b = rules[j];  // the longer rule of every pair it finds
+    const bool kw_in_x = contains(b.antecedent, keyword);
+    const bool kw_in_y = contains(b.consequent, keyword);
+    if (!kw_in_x && !kw_in_y) continue;  // passes through
+
+    // Same consequent, nested antecedents: Conditions 1 and 4.
+    probe(b.antecedent, b.consequent, true, !kw_in_y, [&](std::uint32_t i) {
       const Rule& a = rules[i];  // shorter antecedent
-      const Rule& b = rules[j];  // longer antecedent
 
       // Condition 1: cause analysis, keyword in the shared consequent.
-      if (kw_in_shared) {
+      if (kw_in_y) {
         if (cl * a.lift >= b.lift) {
           mark(j, 1);  // shorter rule generalizes: drop the longer one
         } else if (cs * b.support >= a.support) {
@@ -135,24 +167,20 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
 
       // Condition 4: characteristic analysis, keyword in both
       // antecedents.
-      if (kw_in_antecedent[i] != 0 && kw_in_antecedent[j] != 0) {
+      if (kw_in_x && contains(a.antecedent, keyword)) {
         if (cl * a.lift >= b.lift) {
           mark(j, 4);  // shorter antecedent generalizes
         }
       }
     });
-  }
 
-  // Same antecedent, nested consequents: Conditions 2 and 3.
-  for (auto& [antecedent, bucket] : by_antecedent) {
-    const bool kw_in_shared = contains(antecedent, keyword);
-    scan_bucket(bucket, &Rule::consequent, [&](std::size_t i, std::size_t j) {
+    // Same antecedent, nested consequents: Conditions 2 and 3.
+    probe(b.consequent, b.antecedent, false, !kw_in_x, [&](std::uint32_t i) {
       const Rule& a = rules[i];  // shorter consequent
-      const Rule& b = rules[j];  // longer consequent
 
       // Condition 2: characteristic analysis, keyword in the shared
       // antecedent.
-      if (kw_in_shared) {
+      if (kw_in_x) {
         if (cl * b.lift >= a.lift && cs * b.support >= a.support) {
           mark(i, 2);  // specific consequent is nearly as strong
         } else if (cl * b.lift < a.lift) {
@@ -161,7 +189,7 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
       }
 
       // Condition 3: cause analysis, keyword in both consequents.
-      if (kw_in_consequent[i] != 0 && kw_in_consequent[j] != 0) {
+      if (kw_in_y && contains(a.consequent, keyword)) {
         if (cl * a.lift >= b.lift) {
           mark(j, 3);  // concise consequent suffices for cause analysis
         }
@@ -169,20 +197,32 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
     });
   }
 
-  std::vector<Rule> survivors;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!pruned[i]) survivors.push_back(rules[i]);
+  std::vector<std::uint32_t> survivors;
+  for (const std::uint32_t i : keyed) {
+    if (!pruned[i]) survivors.push_back(i);
   }
-  sort_rules(survivors);
 
   if (stats != nullptr) {
-    stats->input = n;
+    stats->input = keyed.size();
     stats->kept = survivors.size();
     stats->pruned_by = by;
-    stats->num_buckets = by_consequent.size() + by_antecedent.size();
-    stats->max_bucket = max_bucket;
-    stats->pair_comparisons = pair_comparisons;
+    stats->pair_comparisons = probes;
   }
+  return survivors;
+}
+
+std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
+                              const PruneParams& params, PruneStats* stats) {
+  RuleLookup lookup(rules);
+  std::vector<std::uint32_t> all(rules.size());
+  std::iota(all.begin(), all.end(), 0u);
+  for (const std::uint32_t i : all) lookup.add(i);
+  std::vector<Rule> survivors;
+  for (const std::uint32_t i :
+       prune_rules(rules, lookup, all, keyword, params, stats)) {
+    survivors.push_back(rules[i]);
+  }
+  sort_rules(survivors);
   return survivors;
 }
 

@@ -22,24 +22,30 @@
 //
 // Every condition compares two rules that share one side exactly (the
 // consequent for Conds 1/4, the antecedent for Conds 2/3) and nest on
-// the other, so the implementation never scans all pairs: rules are
-// bucketed by the shared side, restricted to the keyword side each
-// condition needs (Cond 1 only fires inside buckets whose consequent
-// holds K; Conds 3/4 only between rules holding K on the nested side),
-// and each bucket is walked in increasing nested-side length so only
-// strictly-shorter-vs-longer pairs are subset-tested. PruneStats
-// records the bucket shape (count, max size, pair tests) next to the
-// per-condition attribution; docs/RULES.md walks through the scheme.
+// the other, so the implementation never scans pairs: each keyword rule
+// j = Xj => Yj lists its shorter partners directly, by looking up
+// (S, Yj) for the proper subsets S of Xj and (Xj, T) for the proper
+// subsets T of Yj in an (antecedent, consequent) -> rule index
+// (RuleLookup). Only the subsets a condition can use are probed: every
+// S when K ∈ Yj (Cond 1) but only those holding K when K ∈ Xj
+// (Cond 4), and every T when K ∈ Xj (Cond 2) but only those holding K
+// when K ∈ Yj (Cond 3). So every hit holds K, and one lookup over a
+// whole rule list serves every keyword. Rules are at most max_length
+// items long, so at the paper's length 5 a rule makes at most 16
+// probes; PruneStats::pair_comparisons counts them. docs/RULES.md walks
+// through the scheme.
 //
 // Pruning decisions are evaluated against the *input* rule set (a pruned
 // rule can still disqualify another), which makes the result independent
-// of rule ordering — an invariant the property tests rely on and one the
-// bucketed pass preserves: bucketing only narrows which pairs are
-// *examined*, never which conditions *fire*.
+// of rule ordering — an invariant the property tests rely on: the
+// lookup only decides which pairs are *examined*, never which
+// conditions *fire*.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/itemset.hpp"
@@ -67,13 +73,49 @@ struct PruneStats {
   /// condition, increments every slot whose condition fired — so the
   /// slots can sum to more than input - kept. `kept` is authoritative.
   std::array<std::size_t, 4> pruned_by{0, 0, 0, 0};
-  /// Shape of the candidate index: total buckets across the
-  /// shared-consequent and shared-antecedent passes, the largest single
-  /// bucket, and the shorter-vs-longer subset tests actually performed
-  /// (the bucketed stand-in for the old all-pairs n^2).
-  std::size_t num_buckets = 0;
-  std::size_t max_bucket = 0;
+  /// Nested-pair candidates looked up in the RuleLookup (one per probed
+  /// subset), the lookup's stand-in for the all-pairs n^2.
   std::size_t pair_comparisons = 0;
+};
+
+/// (antecedent, consequent) -> indices of the rules with exactly those
+/// sides, over one rule vector that must outlive it. Open addressing;
+/// rules sharing both sides are chained, so duplicates are all found.
+/// Read-only once filled, so any number of threads can probe it.
+class RuleLookup {
+ public:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// An empty lookup sized for every rule of `rules`; add() fills it.
+  explicit RuleLookup(const std::vector<Rule>& rules);
+
+  /// Indexes rules[rule]; each rule is added at most once.
+  void add(std::uint32_t rule);
+
+  /// First indexed rule with these sides, or kNone.
+  [[nodiscard]] std::uint32_t find(std::span<const ItemId> antecedent,
+                                   std::span<const ItemId> consequent) const;
+
+  /// The next indexed rule with the same sides as `rule`, or kNone.
+  [[nodiscard]] std::uint32_t next(std::uint32_t rule) const {
+    return next_[rule];
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t tag = 0;       // high hash bits, checked before sides
+    std::uint32_t head = kNone;  // kNone: empty slot
+  };
+
+  // The slot of the rules with these sides, or the empty slot where
+  // they would go.
+  [[nodiscard]] std::size_t slot_of(std::span<const ItemId> antecedent,
+                                    std::span<const ItemId> consequent) const;
+
+  const std::vector<Rule>& rules_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> next_;
+  std::size_t mask_ = 0;
 };
 
 /// Rules that contain `keyword` on the given side.
@@ -85,10 +127,19 @@ struct PruneStats {
 [[nodiscard]] std::vector<Rule> filter_keyword(const std::vector<Rule>& rules,
                                                ItemId keyword);
 
-/// Applies Conditions 1-4 to `rules` (which should already be restricted
-/// to rules mentioning `keyword`; rules not mentioning it pass through
-/// untouched since no condition applies). Returns survivors in the
-/// deterministic sort_rules order.
+/// Applies Conditions 1-4 to the rules `keyed` selects from `rules`.
+/// `keyed` is strictly increasing and holds every rule of `rules` that
+/// mentions `keyword`; any other rule it holds passes through untouched,
+/// since no condition applies. `lookup` indexes at least those keyword
+/// rules. Returns the surviving entries of `keyed`, in `keyed` order.
+[[nodiscard]] std::vector<std::uint32_t> prune_rules(
+    const std::vector<Rule>& rules, const RuleLookup& lookup,
+    std::span<const std::uint32_t> keyed, ItemId keyword,
+    const PruneParams& params, PruneStats* stats = nullptr);
+
+/// Same over a whole rule list (which should already be restricted to
+/// rules mentioning `keyword`; rules not mentioning it pass through).
+/// Returns survivors in the deterministic sort_rules order.
 [[nodiscard]] std::vector<Rule> prune_rules(const std::vector<Rule>& rules,
                                             ItemId keyword,
                                             const PruneParams& params,

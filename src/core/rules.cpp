@@ -88,13 +88,15 @@ Rule make_rule(Itemset antecedent, Itemset consequent,
               leverage,              conviction};
 }
 
+bool rule_before(const Rule& a, const Rule& b) {
+  if (a.lift != b.lift) return a.lift > b.lift;
+  if (a.support != b.support) return a.support > b.support;
+  if (a.antecedent != b.antecedent) return a.antecedent < b.antecedent;
+  return a.consequent < b.consequent;
+}
+
 void sort_rules(std::vector<Rule>& rules) {
-  std::sort(rules.begin(), rules.end(), [](const Rule& a, const Rule& b) {
-    if (a.lift != b.lift) return a.lift > b.lift;
-    if (a.support != b.support) return a.support > b.support;
-    if (a.antecedent != b.antecedent) return a.antecedent < b.antecedent;
-    return a.consequent < b.consequent;
-  });
+  std::sort(rules.begin(), rules.end(), rule_before);
 }
 
 std::vector<Rule> generate_rules(const MiningResult& mined,

@@ -82,7 +82,12 @@ struct RuleParams {
                              std::uint64_t consequent_count,
                              std::uint64_t db_size);
 
-/// The deterministic output ordering used by generate_rules.
+/// The deterministic output ordering used by generate_rules, a total
+/// order: descending lift, then descending support, then ascending
+/// antecedent, then ascending consequent.
 void sort_rules(std::vector<Rule>& rules);
+
+/// True iff `a` sorts strictly before `b` in sort_rules order.
+[[nodiscard]] bool rule_before(const Rule& a, const Rule& b);
 
 }  // namespace gpumine::core

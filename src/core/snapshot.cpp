@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "common/trace.hpp"
 #include "core/support_index.hpp"
 
 namespace gpumine::core {
@@ -172,6 +173,7 @@ void save_rule_snapshot(const RuleSnapshot& snapshot, std::ostream& out) {
 }
 
 Result<RuleSnapshot> load_rule_snapshot(std::istream& in) {
+  GPUMINE_SPAN("snapshot/load");
   std::string header(kHeaderBytes, '\0');
   in.read(header.data(), static_cast<std::streamsize>(kHeaderBytes));
   header.resize(static_cast<std::size_t>(in.gcount()));
@@ -318,9 +320,14 @@ Result<RuleSnapshot> load_rule_snapshot(std::istream& in) {
     if (joint_count > *x_count || joint_count > *y_count) {
       return corrupt("rules", "joint count exceeds a side's support");
     }
-    snapshot.rules.push_back(make_rule(std::move(x), std::move(y), joint_count,
-                                       *x_count, *y_count,
-                                       snapshot.result.db_size));
+    Rule rule = make_rule(std::move(x), std::move(y), joint_count, *x_count,
+                          *y_count, snapshot.result.db_size);
+    // Consumers rely on sort_rules order; strictness also rules out a
+    // repeated rule.
+    if (!snapshot.rules.empty() && !rule_before(snapshot.rules.back(), rule)) {
+      return corrupt("rules", "rules out of order or repeated");
+    }
+    snapshot.rules.push_back(std::move(rule));
   }
   if (cursor.remaining() != 0) {
     return corrupt("payload", "trailing bytes after the rule table");

@@ -32,9 +32,10 @@
 // sizes an allocation), checksum, parameter ranges, dense item ids,
 // canonical itemsets, counts within db_size, a downward-closed family
 // (every (k-1)-subset of an itemset present and at least as frequent,
-// which rule generation relies on), and rule sides that exist in the
-// family with joint counts within their supports. Malformed input
-// yields an Error, never an exception.
+// which rule generation relies on), rule sides that exist in the
+// family with joint counts within their supports, and a rule table in
+// strictly increasing sort_rules order (so no rule repeats). Malformed
+// input yields an Error, never an exception.
 #pragma once
 
 #include <iosfwd>
@@ -76,8 +77,8 @@ void save_rule_snapshot(const RuleSnapshot& snapshot, std::ostream& out);
 
 /// Parses and validates a binary image, with or without rules; any
 /// corruption (truncation, checksum mismatch, out-of-range ids,
-/// impossible counts, a family that is not downward closed) yields an
-/// Error naming the offending section.
+/// impossible counts, a family that is not downward closed, rules out
+/// of order or repeated) yields an Error naming the offending section.
 [[nodiscard]] Result<RuleSnapshot> load_rule_snapshot(std::istream& in);
 
 /// File wrappers. Saving reports stream failures (e.g. a full disk) as

@@ -1,51 +1,65 @@
 #include "serve/query_engine.hpp"
 
+#include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "analysis/export.hpp"
-#include "core/pruning.hpp"
+#include "common/thread_pool.hpp"
+#include "common/trace.hpp"
 
 namespace gpumine::serve {
 
 QueryEngine::QueryEngine(core::RuleSnapshot snapshot)
-    : snapshot_(std::move(snapshot)), index_(snapshot_.result) {
-  // Per-keyword precompute, mirroring the keyword half of
-  // core::analyze_keyword over the shared pre-generated rule list. The
-  // rendered JSON is cached so the serving path never touches the rule
-  // vectors.
-  by_keyword_.reserve(snapshot_.catalog.size());
-  for (core::ItemId id = 0; id < snapshot_.catalog.size(); ++id) {
-    Entry entry;
-    entry.analysis.keyword = id;
-    const std::vector<core::Rule> keyed =
-        core::filter_keyword(snapshot_.rules, id);
-    const std::vector<core::Rule> pruned = core::prune_rules(
-        keyed, id, snapshot_.prune_params, &entry.analysis.prune_stats);
-    entry.analysis.cause = core::filter_keyword(
-        pruned, id, core::KeywordSide::kConsequent);
-    entry.analysis.characteristic = core::filter_keyword(
-        pruned, id, core::KeywordSide::kAntecedent);
-    entry.analysis.stage.rules_generated = snapshot_.rules.size();
-    entry.analysis.stage.rules_kept = entry.analysis.prune_stats.kept;
-    for (std::size_t c = 0; c < 4; ++c) {
-      entry.analysis.stage.pruned_by_condition[c] =
-          entry.analysis.prune_stats.pruned_by[c];
+    : snapshot_(std::move(snapshot)) {
+  GPUMINE_SPAN("serve/engine_build");
+  index_ = core::SupportIndex(snapshot_.result);
+  const std::vector<core::Rule>& rules = snapshot_.rules;
+  const std::size_t num_items = snapshot_.catalog.size();
+
+  // One pass: the shared (antecedent, consequent) lookup, and per item
+  // the rules mentioning it, in snapshot order.
+  core::RuleLookup lookup(rules);
+  std::vector<std::vector<std::uint32_t>> keyed(num_items);
+  {
+    GPUMINE_SPAN("serve/engine_index");
+    for (std::uint32_t i = 0; i < rules.size(); ++i) {
+      lookup.add(i);
+      const core::Rule& rule = rules[i];
+      for (const core::ItemId id : rule.antecedent) keyed.at(id).push_back(i);
+      for (const core::ItemId id : rule.consequent) keyed.at(id).push_back(i);
     }
-    entry.json = analysis::rules_to_json(entry.analysis, snapshot_.catalog);
-    if (!pruned.empty()) ++keywords_with_rules_;
-    by_keyword_.emplace(snapshot_.catalog.name(id), std::move(entry));
   }
+
+  answers_.resize(num_items);
+  if (num_items == 0) return;
+  // Sized as ThreadPool(0) sizes itself, capped at one worker per item.
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  ThreadPool pool(std::min(hardware, num_items));
+  pool.parallel_for(num_items, [&](std::size_t item) {
+    GPUMINE_SPAN("serve/engine_keyword");
+    const auto id = static_cast<core::ItemId>(item);
+    Answer& answer = answers_[item];
+    answer.survivors =
+        core::prune_rules(rules, lookup, keyed[item], id,
+                          snapshot_.prune_params, &answer.prune_stats);
+    answer.json = analysis::rules_to_json(id, rules, answer.survivors,
+                                          snapshot_.catalog);
+  });
+  keywords_with_rules_ = static_cast<std::size_t>(
+      std::count_if(answers_.begin(), answers_.end(),
+                    [](const Answer& a) { return !a.survivors.empty(); }));
 }
 
-const core::KeywordAnalysis* QueryEngine::query(
-    std::string_view keyword) const {
-  const auto it = by_keyword_.find(std::string(keyword));
-  return it == by_keyword_.end() ? nullptr : &it->second.analysis;
+const QueryEngine::Answer* QueryEngine::query(std::string_view keyword) const {
+  const auto id = snapshot_.catalog.find(keyword);
+  return id ? &answers_[*id] : nullptr;
 }
 
 const std::string* QueryEngine::query_json(std::string_view keyword) const {
-  const auto it = by_keyword_.find(std::string(keyword));
-  return it == by_keyword_.end() ? nullptr : &it->second.json;
+  const Answer* answer = query(keyword);
+  return answer != nullptr ? &answer->json : nullptr;
 }
 
 std::optional<std::uint64_t> QueryEngine::support_count(

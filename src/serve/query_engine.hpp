@@ -6,29 +6,35 @@
 // fast-dimensional-analysis service): here, one QueryEngine is built
 // from a core::RuleSnapshot and then never mutated. Construction runs
 // the per-keyword half of core::analyze_keyword once for every item in
-// the catalog — keyword filtering, Conditions 1-4 pruning, and the JSON
-// rendering of analysis/export.hpp — so the serving path is a hash
-// lookup returning a pre-rendered response. Because the engine is
-// immutable, any number of server threads can read it concurrently with
-// no locking, and hot-reload is a shared_ptr swap in EngineHandle
+// the catalog — Conditions 1-4 pruning and the JSON rendering of
+// analysis/export.hpp — so the serving path is a catalog lookup
+// returning a pre-rendered response. Because the engine is immutable,
+// any number of server threads can read it concurrently with no
+// locking, and hot-reload is a shared_ptr swap in EngineHandle
 // (serve/engine_handle.hpp), never an in-place update.
+//
+// The build makes one pass over the snapshot's rules. It fills one
+// core::RuleLookup shared by every keyword and, per item, the indices
+// of the rules that mention it; no rule is copied. It then prunes and
+// renders each item as its own task on a ThreadPool with one worker per
+// hardware thread (at most one per item). Each keyword keeps only its
+// JSON, its PruneStats and its survivors as indices into rules().
 //
 // The answers are byte-identical to running the one-shot CLI pipeline
 // (`gpumine mine --keyword K --format json`) over the same mining
-// result: the engine shares the generated rule list across keywords,
-// and pruning each keyword's slice is exactly what analyze_keyword
-// does (asserted by tests/serve/query_engine_test.cpp).
+// result: pruning a keyword's rules is exactly what analyze_keyword
+// does, and survivors come out in snapshot order, which is sort_rules
+// order (the loader rejects any other). tests/serve/query_engine_test.cpp
+// asserts both.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/pruning.hpp"
 #include "core/snapshot.hpp"
 #include "core/support_index.hpp"
 
@@ -36,15 +42,20 @@ namespace gpumine::serve {
 
 class QueryEngine {
  public:
-  /// Builds the keyword index: one pruned KeywordAnalysis plus its
-  /// pre-rendered JSON response per catalog item. Linear in
-  /// |catalog| x |keyword rules|; runs once per snapshot (re)load.
+  /// One keyword's pre-pruned answer.
+  struct Answer {
+    std::string json;              // analysis::rules_to_json bytes
+    core::PruneStats prune_stats;  // over the rules mentioning the keyword
+    std::vector<std::uint32_t> survivors;  // indices into rules()
+  };
+
+  /// Builds every catalog item's Answer; runs once per snapshot
+  /// (re)load.
   explicit QueryEngine(core::RuleSnapshot snapshot);
 
-  /// Pre-pruned analysis for a keyword item name, or nullptr when the
+  /// The pre-pruned answer for a keyword item name, or nullptr when the
   /// name is not in the snapshot's vocabulary.
-  [[nodiscard]] const core::KeywordAnalysis* query(
-      std::string_view keyword) const;
+  [[nodiscard]] const Answer* query(std::string_view keyword) const;
 
   /// The pre-rendered JSON response for the same lookup (the exact
   /// bytes of analysis::rules_to_json), or nullptr when unknown.
@@ -61,6 +72,10 @@ class QueryEngine {
   }
   [[nodiscard]] const core::SupportIndex& support_index() const {
     return index_;
+  }
+  /// The snapshot's rules, which Answer::survivors index.
+  [[nodiscard]] const std::vector<core::Rule>& rules() const {
+    return snapshot_.rules;
   }
   [[nodiscard]] std::uint64_t db_size() const {
     return snapshot_.result.db_size;
@@ -79,14 +94,9 @@ class QueryEngine {
   [[nodiscard]] std::vector<std::string> keyword_names() const;
 
  private:
-  struct Entry {
-    core::KeywordAnalysis analysis;
-    std::string json;  // rules_to_json(analysis, catalog)
-  };
-
   core::RuleSnapshot snapshot_;
   core::SupportIndex index_;
-  std::unordered_map<std::string, Entry> by_keyword_;
+  std::vector<Answer> answers_;  // by ItemId
   std::size_t keywords_with_rules_ = 0;
 };
 

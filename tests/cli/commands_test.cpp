@@ -618,6 +618,16 @@ TEST(Cli, ServeCheckScrapesAndLintsMetrics) {
   ASSERT_EQ(check.code, 0) << check.err;
   EXPECT_NE(check.out.find("metrics check ok:"), std::string::npos);
   EXPECT_NE(check.out.find("wrote metrics:"), std::string::npos);
+  // The probes went over the socket the server bound.
+  const std::string serving = "serving on 127.0.0.1:";
+  const auto at = check.out.find(serving);
+  ASSERT_NE(at, std::string::npos) << check.out;
+  const std::string port = check.out.substr(
+      at + serving.size(),
+      check.out.find(' ', at + serving.size()) - at - serving.size());
+  EXPECT_NE(check.out.find("probing 127.0.0.1:" + port + "\n"),
+            std::string::npos)
+      << check.out;
 
   EXPECT_EQ(run_cli({"metrics-check", "--file", prom}).code, 0);
   std::ifstream in(prom);
@@ -628,6 +638,37 @@ TEST(Cli, ServeCheckScrapesAndLintsMetrics) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("gpumine_snapshot_rules "), std::string::npos);
+}
+
+// A traced `serve --check` attributes the reload path: the snapshot
+// load, the engine build with its one indexing pass, and one task per
+// keyword with the pruning nested inside.
+TEST(Cli, ServeCheckTraceHasReloadSpans) {
+  const std::string csv = temp_path("cli_serve_trace.csv");
+  const std::string snap = temp_path("cli_serve_trace.snap");
+  const std::string trace = temp_path("cli_serve_trace.json");
+  ASSERT_EQ(run_cli({"synth", "--trace", "pai", "--jobs", "3000", "--out",
+                     csv})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"snapshot", "--csv", csv, "--out", snap}).code, 0);
+  const auto serve = run_cli({"serve", "--snapshot", snap, "--port", "0",
+                              "--check", "--trace", trace});
+  ASSERT_EQ(serve.code, 0) << serve.err;
+  const auto check = run_cli({"trace-check", "--file", trace});
+  EXPECT_EQ(check.code, 0) << check.err;
+
+  std::ifstream in(trace);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  for (const char* name : {"snapshot/load", "serve/engine_build",
+                           "serve/engine_index", "serve/engine_keyword",
+                           "rules/prune"}) {
+    EXPECT_NE(text.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  }
 }
 
 TEST(Cli, MineFlightDumpLeavesALoadableBundle) {

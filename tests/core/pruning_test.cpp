@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
+
+#include "oracle/prune_all_pairs.hpp"
 
 namespace gpumine::core {
 namespace {
@@ -187,11 +190,11 @@ TEST(PruneRules, OrderIndependence) {
   }
 }
 
-// Scaled variant exercising the bucketed pass: four rule families (one
-// per condition) built over every non-empty subset of a five-item pool,
-// plus keyword-less pass-through rules — ~130 rules in dozens of
-// buckets. The survivor set must not depend on input order, and the
-// bucket stats must show the scan actually narrowed below all-pairs.
+// Scaled variant exercising the lookup: four rule families (one per
+// condition) built over every non-empty subset of a five-item pool,
+// plus keyword-less pass-through rules — ~130 rules. The survivor set
+// must not depend on input order, and the probe count must stay within
+// the per-rule subset bound, below all-pairs.
 TEST(PruneRules, OrderIndependenceAtScaleBucketed) {
   std::mt19937 gen(7);
   auto count_between = [&](std::uint64_t lo, std::uint64_t hi) {
@@ -224,10 +227,17 @@ TEST(PruneRules, OrderIndependenceAtScaleBucketed) {
   PruneStats baseline_stats;
   const auto baseline =
       prune_rules(rules, kKeyword, PruneParams{}, &baseline_stats);
-  EXPECT_GT(baseline_stats.num_buckets, 4u);
-  EXPECT_GE(baseline_stats.max_bucket, 2u);
+  // Each keyword rule probes at most every proper subset of each side.
+  std::size_t probe_bound = 0;
+  for (const Rule& r : rules) {
+    if (contains(r.antecedent, kKeyword) || contains(r.consequent, kKeyword)) {
+      probe_bound +=
+          (1u << r.antecedent.size()) + (1u << r.consequent.size()) - 2;
+    }
+  }
   EXPECT_GT(baseline_stats.pair_comparisons, 0u);
-  // The bucketed scan must examine far fewer pairs than n * (n-1) / 2.
+  EXPECT_LE(baseline_stats.pair_comparisons, probe_bound);
+  // The lookup must examine far fewer pairs than n * (n-1) / 2.
   const std::size_t n = rules.size();
   EXPECT_LT(baseline_stats.pair_comparisons, n * (n - 1) / 2);
   EXPECT_LT(baseline_stats.kept, baseline_stats.input);
@@ -246,6 +256,134 @@ TEST(PruneRules, OrderIndependenceAtScaleBucketed) {
     EXPECT_EQ(stats.pruned_by, baseline_stats.pruned_by)
         << "trial " << trial;
   }
+}
+
+// Seeded random rule sets over eight items, with up to four items a
+// side: many rules nest on one side while sharing the other, some are
+// exact duplicates, some never mention the keyword. Both entry points
+// must keep exactly the oracle's survivors, in order, with the same
+// per-condition firing counts, for every slack setting.
+TEST(PruneRules, MatchesAllPairsOracle) {
+  constexpr ItemId kItems = 8;
+  std::size_t fired = 0;
+  for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937 gen(seed);
+    auto below = [&](std::uint32_t n) {
+      return std::uniform_int_distribution<std::uint32_t>(0, n - 1)(gen);
+    };
+    const ItemId keyword = below(kItems);
+    // A side of 1-4 items outside `taken`, holding `keyword` if asked.
+    auto draw_side = [&](const Itemset& taken, bool with_keyword) {
+      Itemset side;
+      if (with_keyword) side.push_back(keyword);
+      const std::size_t want = 1 + below(4);
+      while (side.size() < want) {
+        const ItemId id = below(kItems);
+        if (!contains(taken, id) && std::find(side.begin(), side.end(), id) ==
+                                        side.end()) {
+          side.push_back(id);
+        } else if (taken.size() + side.size() >= kItems) {
+          break;
+        }
+      }
+      canonicalize(side);
+      return side;
+    };
+    auto priced = [&](Itemset x, Itemset y) {
+      const std::uint64_t sx = 40 + below(8) * 20;
+      const std::uint64_t sy = 40 + below(8) * 20;
+      const std::uint64_t joint = 10 + below(static_cast<std::uint32_t>(
+                                           std::min(sx, sy) - 9));
+      return make_rule(std::move(x), std::move(y), joint, sx, sy, kN);
+    };
+
+    std::vector<Rule> rules;
+    const std::size_t n = 20 + below(100);
+    while (rules.size() < n) {
+      const std::uint32_t kind = rules.empty() ? 9 : below(10);
+      if (kind < 2) {
+        rules.push_back(rules[below(static_cast<std::uint32_t>(rules.size()))]);
+      } else if (kind < 7) {
+        // Nest on one side of an existing rule: add or drop an item.
+        const Rule& base =
+            rules[below(static_cast<std::uint32_t>(rules.size()))];
+        Itemset x = base.antecedent;
+        Itemset y = base.consequent;
+        Itemset& side = below(2) == 0 ? x : y;
+        const ItemId id = below(kItems);
+        if (contains(side, id)) {
+          if (side.size() > 1 && (id != keyword || below(3) == 0)) {
+            side.erase(std::find(side.begin(), side.end(), id));
+          }
+        } else if (!contains(x, id) && !contains(y, id) && side.size() < 4) {
+          side.push_back(id);
+          canonicalize(side);
+        }
+        rules.push_back(priced(std::move(x), std::move(y)));
+      } else {
+        // Fresh rule: keyword in the antecedent, consequent or neither.
+        const std::uint32_t where = below(3);
+        Itemset x = draw_side({}, where == 0);
+        Itemset y = draw_side(where == 1 ? Itemset{} : x, where == 1);
+        if (where == 1) {
+          x = draw_side(y, false);
+        } else if (where == 2 && (contains(x, keyword) ||
+                                  contains(y, keyword))) {
+          continue;
+        }
+        if (x.empty() || y.empty()) continue;
+        rules.push_back(priced(std::move(x), std::move(y)));
+      }
+    }
+
+    for (const double c_lift : {1.0, 1.5, 3.0}) {
+      for (const double c_supp : {1.0, 1.5, 3.0}) {
+        const PruneParams params{c_lift, c_supp};
+        std::array<std::size_t, 4> expected_by{};
+        const std::vector<std::size_t> expected =
+            prune_all_pairs(rules, keyword, params, expected_by);
+        for (const std::size_t f : expected_by) fired += f;
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " c_lift " + std::to_string(c_lift) +
+                                  " c_supp " + std::to_string(c_supp);
+
+        // Index form: survivors in input order.
+        RuleLookup lookup(rules);
+        std::vector<std::uint32_t> all(rules.size());
+        std::iota(all.begin(), all.end(), 0u);
+        for (const std::uint32_t i : all) lookup.add(i);
+        PruneStats stats;
+        const auto kept =
+            prune_rules(rules, lookup, all, keyword, params, &stats);
+        ASSERT_EQ(std::vector<std::size_t>(kept.begin(), kept.end()),
+                  expected)
+            << label;
+        EXPECT_EQ(stats.pruned_by, expected_by) << label;
+        EXPECT_EQ(stats.input, rules.size()) << label;
+        EXPECT_EQ(stats.kept, expected.size()) << label;
+
+        // Vector form: the same survivors in sort_rules order.
+        std::vector<Rule> expected_rules;
+        for (const std::size_t i : expected) {
+          expected_rules.push_back(rules[i]);
+        }
+        sort_rules(expected_rules);
+        PruneStats vector_stats;
+        const auto out = prune_rules(rules, keyword, params, &vector_stats);
+        ASSERT_EQ(out.size(), expected_rules.size()) << label;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          EXPECT_EQ(out[i].antecedent, expected_rules[i].antecedent) << label;
+          EXPECT_EQ(out[i].consequent, expected_rules[i].consequent) << label;
+          EXPECT_EQ(out[i].count, expected_rules[i].count) << label;
+        }
+        EXPECT_EQ(vector_stats.pruned_by, expected_by) << label;
+        EXPECT_EQ(vector_stats.pair_comparisons, stats.pair_comparisons)
+            << label;
+      }
+    }
+  }
+  // The sets must exercise the conditions, not just pass rules through.
+  EXPECT_GT(fired, 1000u);
 }
 
 TEST(PruneRules, StatsArePopulated) {

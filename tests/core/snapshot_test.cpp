@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fpgrowth.hpp"
@@ -420,6 +421,46 @@ TEST(RuleSnapshot, MalformedRulesAreRejected) {
   ASSERT_FALSE(over_empty.ok());
   EXPECT_NE(over_empty.error().message.find("empty database"),
             std::string::npos);
+}
+
+/// Items {a, b} with itemsets {a}:5 {b}:4 {a,b}:3 and the given rule
+/// table, as (antecedent, consequent) pairs with joint count 3.
+Result<RuleSnapshot> load_with_rules(
+    const std::vector<std::pair<Itemset, Itemset>>& table) {
+  std::string p = family_payload({"a", "b"}, {{{0}, 5}, {{1}, 4}, {{0, 1}, 3}});
+  put_u64(p, table.size());
+  for (const auto& [x, y] : table) put_rule(p, 3, x, y);
+  return load_bytes(frame(p));
+}
+
+// The engine renders survivors in file order, so the loader holds the
+// rule table to sort_rules order.
+TEST(RuleSnapshot, RejectsRulesOutOfOrder) {
+  const Rule ab = make_rule({0}, {1}, 3, 5, 4, 10);
+  const Rule ba = make_rule({1}, {0}, 3, 4, 5, 10);
+  const bool ab_first = rule_before(ab, ba);
+  ASSERT_NE(ab_first, rule_before(ba, ab));
+  const std::pair<Itemset, Itemset> first{ab_first ? ab.antecedent
+                                                   : ba.antecedent,
+                                          ab_first ? ab.consequent
+                                                   : ba.consequent};
+  const std::pair<Itemset, Itemset> second{first.second, first.first};
+
+  const auto ordered = load_with_rules({first, second});
+  ASSERT_TRUE(ordered.ok()) << ordered.error().to_string();
+  EXPECT_EQ(ordered.value().rules.size(), 2u);
+
+  const auto swapped = load_with_rules({second, first});
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_EQ(swapped.error().context, "snapshot rules");
+  EXPECT_NE(swapped.error().message.find("out of order"), std::string::npos);
+}
+
+TEST(RuleSnapshot, RejectsDuplicateRule) {
+  const auto repeated = load_with_rules({{{0}, {1}}, {{0}, {1}}});
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.error().context, "snapshot rules");
+  EXPECT_NE(repeated.error().message.find("repeated"), std::string::npos);
 }
 
 // Rule generation prices every subset of an itemset from the family, so

@@ -44,8 +44,6 @@ core::MiningMetrics full_mining_metrics() {
   r.rules_generated = 53348;
   r.rules_kept = 681;
   r.pruned_by_condition = {13709, 8050, 13615, 13614};
-  r.prune_buckets = 2052;
-  r.prune_max_bucket = 569;
   r.prune_pair_comparisons = 609168;
   r.generation_seconds = 0.0259414;
   r.prune_seconds = 0.0153974;
