@@ -1,18 +1,12 @@
 #include "analysis/export.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <ranges>
 
+#include "common/json.hpp"
+
 namespace gpumine::analysis {
 namespace {
-
-std::string fmt(double v) {
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 std::string join_items(const core::Itemset& items,
                        const core::ItemCatalog& catalog,
@@ -45,15 +39,15 @@ void append_csv_rows(std::string& out, const std::vector<core::Rule>& rules,
     out += ',';
     out += csv_field(join_items(r.consequent, catalog, " + "));
     out += ',';
-    out += fmt(r.support);
+    append_real(out, r.support);
     out += ',';
-    out += fmt(r.confidence);
+    append_real(out, r.confidence);
     out += ',';
-    out += fmt(r.lift);
+    append_real(out, r.lift);
     out += ',';
-    out += fmt(r.leverage);
+    append_real(out, r.leverage);
     out += ',';
-    out += fmt(r.conviction);
+    append_real(out, r.conviction);
     out += '\n';
   }
 }
@@ -64,7 +58,7 @@ void append_json_items(std::string& out, const core::Itemset& items,
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    out += json_escape(catalog.name(items[i]));
+    append_json_escaped(out, catalog.name(items[i]));
     out += '"';
   }
   out += ']';
@@ -83,9 +77,12 @@ void append_json_rules(std::string& out, Rules&& rules,
     append_json_items(out, r.antecedent, catalog);
     out += ",\"consequent\":";
     append_json_items(out, r.consequent, catalog);
-    out += ",\"support\":" + fmt(r.support);
-    out += ",\"confidence\":" + fmt(r.confidence);
-    out += ",\"lift\":" + fmt(r.lift);
+    out += ",\"support\":";
+    append_real(out, r.support);
+    out += ",\"confidence\":";
+    append_real(out, r.confidence);
+    out += ",\"lift\":";
+    append_real(out, r.lift);
     out += '}';
   }
   out += ']';
@@ -105,7 +102,7 @@ std::string keyword_json(core::ItemId keyword, Cause&& cause,
                          Characteristic&& characteristic,
                          const core::ItemCatalog& catalog) {
   std::string out = "{\"keyword\":\"";
-  out += json_escape(catalog.name(keyword));
+  append_json_escaped(out, catalog.name(keyword));
   out += "\",\"cause\":";
   append_json_rules(out, cause, catalog);
   out += ",\"characteristic\":";
@@ -115,46 +112,6 @@ std::string keyword_json(core::ItemId keyword, Cause&& cause,
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char raw : text) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 std::string rules_to_csv(const core::KeywordAnalysis& analysis,
                          const core::ItemCatalog& catalog) {

@@ -4,7 +4,8 @@
 // deployments archive rules and feed dashboards. Three formats:
 //   * CSV  — one rule per row, ready for spreadsheets / pandas;
 //   * JSON — nested structure with items as arrays (hand-rolled writer,
-//     RFC 8259 string escaping — no third-party dependency);
+//     RFC 8259 string escaping from common/json.hpp — no third-party
+//     dependency);
 //   * Markdown — the paper's table layout, ready for reports and PRs.
 // All writers are deterministic: same input, byte-identical output.
 #pragma once
@@ -47,8 +48,5 @@ namespace gpumine::analysis {
 [[nodiscard]] std::string rules_to_markdown(
     const core::KeywordAnalysis& analysis, const core::ItemCatalog& catalog,
     std::size_t max_rows_per_side = 10);
-
-/// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-[[nodiscard]] std::string json_escape(const std::string& text);
 
 }  // namespace gpumine::analysis

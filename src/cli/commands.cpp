@@ -21,7 +21,6 @@
 #include "analysis/report.hpp"
 #include "analysis/workflow.hpp"
 #include "cli/args.hpp"
-#include "common/flight.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -246,25 +245,24 @@ bool configure_logging(const Args& args, std::ostream& err) {
   return true;
 }
 
-// RAII wiring for `--flight-dump FILE`: arms the flight recorder's
-// crash handler for the span of one command. On a clean exit the
-// destructor writes an ordinary dump to the same path (so the file is
-// always a loadable trace bundle, crash or not) and disarms, keeping
-// in-process callers (tests) free of leftover signal handlers.
+// RAII wiring for `--flight-dump FILE`: arms the crash handler for the
+// span of one command. On a clean exit the destructor writes an ordinary
+// dump to the same path (so the file is always a loadable trace bundle,
+// crash or not) and disarms, keeping in-process callers (tests) free of
+// leftover signal handlers.
 class FlightDumpSession {
  public:
   FlightDumpSession() = default;
   ~FlightDumpSession() {
     if (path_.empty()) return;
-    FlightRecorder& recorder = FlightRecorder::instance();
-    (void)recorder.dump_file(path_);
-    recorder.disarm_crash_dump();
+    (void)write_flight_dump(path_);
+    disarm_crash_dump();
   }
 
   bool arm(const Args& args, std::ostream& err) {
     const std::string path = args.get_or("flight-dump", "");
     if (path.empty()) return true;
-    const auto armed = FlightRecorder::instance().arm_crash_dump(path);
+    const auto armed = arm_crash_dump(path);
     if (!armed.ok()) {
       err << armed.error().to_string() << "\n";
       return false;
@@ -1073,11 +1071,11 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
 
   serve::RequestHandler handler(std::move(engine), snapshot_path);
   if (slow_query_ms.value() > 0.0) {
-    // The slow-query log reads the request's spans out of the flight
-    // rings, so the flight sink must be on for the subtree to exist.
+    // The slow-query log reads the request's spans out of the thread's
+    // ring, so the rings must be on for the subtree to exist.
     handler.set_slow_query_ns(
         static_cast<std::uint64_t>(slow_query_ms.value() * 1e6));
-    FlightRecorder::instance().enable_recording();
+    Tracer::instance().set_ring_recording(true);
   }
   serve::ServerConfig config;
   config.host = host;

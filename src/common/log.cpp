@@ -5,10 +5,10 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/ensure.hpp"
-#include "common/flight.hpp"
+#include "common/json.hpp"
+#include "common/trace.hpp"
 
 namespace gpumine {
 namespace {
@@ -18,36 +18,9 @@ constexpr std::uint64_t kRepeatWindowNs = 1'000'000'000ull;  // 1s
 // must not grow memory forever.
 constexpr std::size_t kMaxRepeatKeys = 512;
 
-std::uint64_t monotonic_ns() {
-  struct timespec ts;
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::array<char, 8> buf{};
-      std::snprintf(buf.data(), buf.size(), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf.data();
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
-  append_escaped(out, s);
+  append_json_escaped(out, s);
   out.push_back('"');
 }
 
@@ -82,30 +55,19 @@ void LogField::append_to(std::string& out) const {
     case Kind::kString:
       append_quoted(out, string_);
       break;
-    case Kind::kInt: {
-      std::array<char, 24> buf{};
-      std::snprintf(buf.data(), buf.size(), "%lld",
-                    static_cast<long long>(int_));
-      out += buf.data();
+    case Kind::kInt:
+      out += std::to_string(int_);
       break;
-    }
-    case Kind::kUint: {
-      std::array<char, 24> buf{};
-      std::snprintf(buf.data(), buf.size(), "%llu",
-                    static_cast<unsigned long long>(uint_));
-      out += buf.data();
+    case Kind::kUint:
+      out += std::to_string(uint_);
       break;
-    }
-    case Kind::kDouble: {
+    case Kind::kDouble:
       if (std::isfinite(double_)) {
-        std::array<char, 32> buf{};
-        std::snprintf(buf.data(), buf.size(), "%.6g", double_);
-        out += buf.data();
+        append_real(out, double_);
       } else {
         out += "null";  // JSON has no Inf/NaN
       }
       break;
-    }
     case Kind::kBool:
       out += bool_ ? "true" : "false";
       break;
@@ -189,17 +151,12 @@ void Logger::log(LogLevel level, std::string_view component,
     line.push_back(',');
     field.append_to(line);
   }
-  if (repeated != 0) {
-    std::array<char, 40> buf{};
-    std::snprintf(buf.data(), buf.size(), ",\"repeated\":%llu",
-                  static_cast<unsigned long long>(repeated));
-    line += buf.data();
-  }
+  if (repeated != 0) line += ",\"repeated\":" + std::to_string(repeated);
   line.push_back('}');
 
-  // Mirror into the flight-recorder ring before the sink write so crash
+  // Mirror into the crash-dump log ring before the sink write so crash
   // dumps carry the line even if the sink blocks.
-  FlightRecorder::instance().record_log(line.data(), line.size());
+  record_log_line(line);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   std::FILE* out = file_ ? file_.get() : stderr;

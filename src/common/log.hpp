@@ -13,8 +13,9 @@
 // Identical (component, message) pairs are rate-limited: within a one
 // second window only the first record is emitted; the next record after
 // the window closes carries a "repeated":N field accounting for the
-// suppressed ones. Every emitted line is also mirrored into the
-// FlightRecorder's log ring so crash dumps carry recent log context.
+// suppressed ones. Every emitted line is also mirrored into the crash
+// dump's log ring (record_log_line, common/trace.hpp) so crash dumps
+// carry recent log context.
 #pragma once
 
 #include <atomic>

@@ -13,6 +13,7 @@
 #include <unordered_set>
 
 #include "common/ensure.hpp"
+#include "common/json.hpp"
 
 namespace gpumine {
 namespace {
@@ -112,28 +113,6 @@ const char* type_name(MetricType type) {
     case MetricType::kHistogram: return "histogram";
   }
   GPUMINE_ENSURE(false, "unknown MetricType");
-}
-
-std::string format_real(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-void append_json_escaped(std::string& out, std::string_view v) {
-  for (char c : v) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
 }
 
 std::string join(std::span<const MetricValue> values, char separator) {
@@ -325,7 +304,10 @@ class Exposition final : public MetricSink {
 }  // namespace
 
 std::string MetricValue::to_string() const {
-  return is_count_ ? std::to_string(count_) : format_real(real_);
+  if (is_count_) return std::to_string(count_);
+  std::string out;
+  append_real(out, real_);
+  return out;
 }
 
 std::string render_metrics(MetricFormat format,

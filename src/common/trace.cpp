@@ -1,42 +1,80 @@
 #include "common/trace.hpp"
 
+#include <fcntl.h>
+#include <signal.h>
+#include <time.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
-#include <ostream>
+#include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/arena.hpp"
-#include "common/flight.hpp"
+#include "common/json.hpp"
 
 namespace gpumine {
-namespace trace_detail {
 
-// Events per chunk: the owning thread takes the chunk mutex once per
-// kChunkEvents records; everything in between is two plain stores and
-// one release store of the counter.
+std::uint64_t monotonic_ns() {
+  struct timespec ts;
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+namespace {
+
+// Events per chunk of the trace store: the owning thread takes the chunk
+// mutex once per kChunkEvents records; everything in between is plain
+// stores and one release store of the counter.
 constexpr std::size_t kChunkEvents = 4096;
+constexpr std::size_t kRingSpans = Tracer::kRingSpans;
+
+// One ring slot. The fields are atomics so that a dump on another thread,
+// or in a signal handler, may read a slot while its owner overwrites it;
+// the ring count tells the reader afterwards whether that happened.
+struct RingSlot {
+  std::atomic<const char*> name{nullptr};
+  std::atomic<std::uint64_t> start_ns{0};
+  std::atomic<std::uint64_t> duration_ns{0};
+  std::atomic<std::uint32_t> depth{0};
+};
 
 struct ThreadBuffer {
-  explicit ThreadBuffer(std::uint32_t tid_in) : tid(tid_in) {}
+  // Registry fields: `next` is set before the buffer is published and
+  // never changes, so readers walk the list without a lock; the others
+  // are guarded by the registry mutex (`tid` is atomic for the dump).
+  ThreadBuffer* next = nullptr;
+  ThreadBuffer* next_free = nullptr;
+  bool owned = false;
+  std::uint64_t generation = 0;
+  std::atomic<std::uint32_t> tid{0};
 
-  std::uint32_t tid;
-  // Owner-side append cursor cache; `count` is the publication point.
+  // Trace store. `count` is the publication point; the chunk directory
+  // and arena are guarded for the (cold) append of a new chunk and for
+  // reader traversal.
   std::atomic<std::uint64_t> count{0};
   TraceEvent* write_chunk = nullptr;
   std::uint64_t write_chunk_base = 0;
-  // Chunk directory + arena, guarded for the (cold) append of a new
-  // chunk and for reader traversal.
   mutable std::mutex chunk_mutex;
   std::vector<TraceEvent*> chunks;
   Arena arena{kChunkEvents * sizeof(TraceEvent)};
 
-  void record(const char* name, std::uint64_t start_ns,
-              std::uint64_t duration_ns, std::uint32_t depth) {
+  // Ring store: span i lives in ring[i % kRingSpans]. Spans before
+  // `owner_first` were recorded by a thread that has since exited.
+  std::atomic<std::uint64_t> ring_count{0};
+  std::uint64_t owner_first = 0;
+  std::array<RingSlot, kRingSpans> ring;
+
+  void record_trace(const char* name, std::uint64_t start_ns,
+                    std::uint64_t duration_ns, std::uint32_t depth) {
     const std::uint64_t n = count.load(std::memory_order_relaxed);
     if (write_chunk == nullptr || n - write_chunk_base >= kChunkEvents) {
       const std::lock_guard<std::mutex> lock(chunk_mutex);
@@ -48,9 +86,23 @@ struct ThreadBuffer {
     ev.name = name;
     ev.start_ns = start_ns;
     ev.duration_ns = duration_ns;
-    ev.tid = tid;
+    ev.tid = tid.load(std::memory_order_relaxed);
     ev.depth = depth;
     count.store(n + 1, std::memory_order_release);
+  }
+
+  void record_ring(const char* name, std::uint64_t start_ns,
+                   std::uint64_t duration_ns, std::uint32_t depth) {
+    const std::uint64_t n = ring_count.load(std::memory_order_relaxed);
+    RingSlot& slot = ring[n % kRingSpans];
+    // Release stores order the count published for span n - 1 before
+    // them: a reader that sees any of them then reads a count of at
+    // least n.
+    slot.name.store(name, std::memory_order_release);
+    slot.start_ns.store(start_ns, std::memory_order_release);
+    slot.duration_ns.store(duration_ns, std::memory_order_release);
+    slot.depth.store(depth, std::memory_order_release);
+    ring_count.store(n + 1, std::memory_order_release);
   }
 
   void drain_into(std::vector<TraceEvent>& out) const {
@@ -60,25 +112,201 @@ struct ThreadBuffer {
       out.push_back(chunks[i / kChunkEvents][i % kChunkEvents]);
     }
   }
+
+  /// Calls visit(event) for each retained ring span from index `first`
+  /// on, oldest first, skipping a slot its owner overwrote while it was
+  /// read. Async-signal-safe: atomics only, no lock.
+  template <typename Visit>
+  void visit_ring(std::uint64_t first, Visit&& visit) const {
+    const std::uint64_t end = ring_count.load(std::memory_order_acquire);
+    first = std::max(first, end > kRingSpans ? end - kRingSpans : 0);
+    for (std::uint64_t i = first; i < end; ++i) {
+      const RingSlot& slot = ring[i % kRingSpans];
+      TraceEvent ev;
+      ev.name = slot.name.load(std::memory_order_acquire);
+      ev.start_ns = slot.start_ns.load(std::memory_order_acquire);
+      ev.duration_ns = slot.duration_ns.load(std::memory_order_acquire);
+      ev.tid = tid.load(std::memory_order_relaxed);
+      ev.depth = slot.depth.load(std::memory_order_acquire);
+      // The owner starts span i + kRingSpans, which reuses this slot,
+      // only after publishing that count.
+      if (ring_count.load(std::memory_order_relaxed) >= i + kRingSpans) {
+        continue;
+      }
+      visit(ev);
+    }
+  }
+
+  /// Empties both stores; reset() calls this with no span in flight.
+  void clear() {
+    const std::lock_guard<std::mutex> lock(chunk_mutex);
+    count.store(0, std::memory_order_relaxed);
+    write_chunk = nullptr;
+    chunks.clear();
+    arena.reset();
+    ring_count.store(0, std::memory_order_relaxed);
+    owner_first = 0;
+  }
 };
 
-namespace {
+// Every buffer ever made, newest first. Buffers are never freed, so the
+// list only grows and readers (collect(), the crash dump) walk it without
+// a lock. Constant-initialized and never destroyed, so any thread, and
+// the crash handler, can use it at any point of the process's life.
+struct Registry {
+  std::mutex mutex;  // registration, hand-back and reset()
+  std::atomic<ThreadBuffer*> head{nullptr};
+  ThreadBuffer* free_head = nullptr;  // buffers waiting for a new thread
+  std::atomic<std::uint64_t> generation{1};  // bumped by reset()
+  std::atomic<std::uint32_t> next_tid{0};
+};
+static_assert(std::is_trivially_destructible_v<Registry>);
+Registry g_registry;
 
-struct TlsSlot {
+// The calling thread's buffer, handed to the next new thread when this
+// one exits.
+struct ThreadSlot {
   ThreadBuffer* buffer = nullptr;
   std::uint64_t generation = 0;
+
+  ThreadSlot() = default;
+  ThreadSlot(const ThreadSlot&) = delete;
+  ThreadSlot& operator=(const ThreadSlot&) = delete;
+  ~ThreadSlot() {
+    if (buffer == nullptr) return;
+    const std::lock_guard<std::mutex> lock(g_registry.mutex);
+    buffer->owned = false;
+    // A buffer that still holds trace events keeps them, and its tid, to
+    // itself until reset() empties it.
+    if (buffer->count.load(std::memory_order_relaxed) == 0) {
+      buffer->next_free = g_registry.free_head;
+      g_registry.free_head = buffer;
+    }
+  }
 };
 
-TlsSlot& tls_slot() {
-  thread_local TlsSlot slot;
+ThreadSlot& thread_slot() {
+  thread_local ThreadSlot slot;
   return slot;
 }
 
-}  // namespace
-}  // namespace trace_detail
+// The one span registration: a thread takes a handed-back buffer, or a
+// new one, on its first record, and a fresh tid on its first record after
+// each reset().
+ThreadBuffer& buffer_for_this_thread() {
+  ThreadSlot& slot = thread_slot();
+  if (slot.buffer != nullptr &&
+      slot.generation ==
+          g_registry.generation.load(std::memory_order_relaxed)) {
+    return *slot.buffer;
+  }
+  const std::lock_guard<std::mutex> lock(g_registry.mutex);
+  if (slot.buffer == nullptr) {
+    ThreadBuffer* buffer = g_registry.free_head;
+    if (buffer != nullptr) {
+      g_registry.free_head = buffer->next_free;
+    } else {
+      buffer = new ThreadBuffer;
+      buffer->next = g_registry.head.load(std::memory_order_relaxed);
+      g_registry.head.store(buffer, std::memory_order_release);
+    }
+    buffer->owned = true;
+    buffer->owner_first = buffer->ring_count.load(std::memory_order_relaxed);
+    slot.buffer = buffer;
+  }
+  const std::uint64_t generation =
+      g_registry.generation.load(std::memory_order_relaxed);
+  if (slot.buffer->generation != generation) {
+    slot.buffer->generation = generation;
+    slot.buffer->tid.store(
+        g_registry.next_tid.fetch_add(1, std::memory_order_relaxed),
+        std::memory_order_relaxed);
+  }
+  slot.generation = generation;
+  return *slot.buffer;
+}
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
-Tracer::~Tracer() = default;
+// Chrome-trace text through a fixed buffer straight to a file descriptor.
+// It formats integers itself and calls only write(2), never the
+// allocator or stdio, so the crash handler can use it. `--trace` files
+// and crash dumps both write their events through event().
+class EventWriter {
+ public:
+  explicit EventWriter(int fd) : fd_(fd) {}
+
+  void push_back(char c) {
+    if (size_ == sizeof(buf_)) flush();
+    buf_[size_++] = c;
+  }
+
+  void append(std::string_view text) {
+    for (const char c : text) push_back(c);
+  }
+
+  void append_u64(std::uint64_t value) {
+    char digits[20];
+    int n = 0;
+    do {
+      digits[n++] = static_cast<char>('0' + value % 10);
+      value /= 10;
+    } while (value != 0);
+    while (n > 0) push_back(digits[--n]);
+  }
+
+  /// Nanoseconds as microseconds with exactly three decimals.
+  void append_us(std::uint64_t ns) {
+    append_u64(ns / 1000);
+    push_back('.');
+    const std::uint64_t frac = ns % 1000;
+    push_back(static_cast<char>('0' + frac / 100));
+    push_back(static_cast<char>('0' + frac / 10 % 10));
+    push_back(static_cast<char>('0' + frac % 10));
+  }
+
+  /// One complete ("X") event, comma-separated from the previous one.
+  void event(const TraceEvent& ev) {
+    append(events_++ == 0 ? "\n{\"name\":\"" : ",\n{\"name\":\"");
+    append_json_escaped(*this, ev.name);
+    append("\",\"ph\":\"X\",\"ts\":");
+    append_us(ev.start_ns);
+    append(",\"dur\":");
+    append_us(ev.duration_ns);
+    append(",\"pid\":1,\"tid\":");
+    append_u64(ev.tid);
+    append(",\"args\":{\"depth\":");
+    append_u64(ev.depth);
+    append("}}");
+  }
+
+  /// Writes out the buffered bytes; false once any write has failed.
+  bool flush() {
+    for (std::size_t done = 0; done < size_ && !failed_;) {
+      const ssize_t n = ::write(fd_, buf_ + done, size_ - done);
+      if (n <= 0) {
+        failed_ = true;
+      } else {
+        done += static_cast<std::size_t>(n);
+      }
+    }
+    size_ = 0;
+    return !failed_;
+  }
+
+ private:
+  int fd_;
+  char buf_[4096];
+  std::size_t size_ = 0;
+  std::size_t events_ = 0;
+  bool failed_ = false;
+};
+
+int open_for_writing(const std::string& path) {
+  return ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
+}
+
+}  // namespace
+
+Tracer::Tracer() : epoch_ns_(monotonic_ns()) {}
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
@@ -92,70 +320,49 @@ void Tracer::disable() {
   sinks_.fetch_and(~kSinkTrace, std::memory_order_relaxed);
 }
 
-void Tracer::set_flight_recording(bool on) {
+void Tracer::set_ring_recording(bool on) {
   if (on) {
-    sinks_.fetch_or(kSinkFlight, std::memory_order_relaxed);
+    sinks_.fetch_or(kSinkRing, std::memory_order_relaxed);
   } else {
-    sinks_.fetch_and(~kSinkFlight, std::memory_order_relaxed);
+    sinks_.fetch_and(~kSinkRing, std::memory_order_relaxed);
   }
 }
 
 void Tracer::reset() {
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  buffers_.clear();
-  generation_.fetch_add(1, std::memory_order_relaxed);
-  epoch_ = std::chrono::steady_clock::now();
-}
-
-std::uint64_t Tracer::now_ns() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
-
-trace_detail::ThreadBuffer& Tracer::buffer_for_this_thread() {
-  trace_detail::TlsSlot& slot = trace_detail::tls_slot();
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  const std::uint64_t generation =
-      generation_.load(std::memory_order_relaxed);
-  if (slot.buffer == nullptr || slot.generation != generation) {
-    buffers_.push_back(std::make_unique<trace_detail::ThreadBuffer>(
-        static_cast<std::uint32_t>(buffers_.size())));
-    slot.buffer = buffers_.back().get();
-    slot.generation = generation;
+  const std::lock_guard<std::mutex> lock(g_registry.mutex);
+  g_registry.free_head = nullptr;
+  for (ThreadBuffer* b = g_registry.head.load(std::memory_order_relaxed);
+       b != nullptr; b = b->next) {
+    b->clear();
+    if (!b->owned) {
+      b->next_free = g_registry.free_head;
+      g_registry.free_head = b;
+    }
   }
-  return *slot.buffer;
+  g_registry.next_tid.store(0, std::memory_order_relaxed);
+  g_registry.generation.fetch_add(1, std::memory_order_relaxed);
+  epoch_ns_.store(monotonic_ns(), std::memory_order_relaxed);
 }
 
 void Tracer::record(const char* name, std::uint64_t start_ns,
                     std::uint64_t duration_ns, std::uint32_t depth) {
   const std::uint32_t sinks = sinks_.load(std::memory_order_relaxed);
-  if ((sinks & kSinkFlight) != 0) {
-    FlightRecorder::instance().record_span(name, start_ns, duration_ns,
-                                           depth);
+  if (sinks == 0) return;
+  ThreadBuffer& buffer = buffer_for_this_thread();
+  if ((sinks & kSinkRing) != 0) {
+    buffer.record_ring(name, start_ns, duration_ns, depth);
   }
-  if ((sinks & kSinkTrace) == 0 && sinks != 0) {
-    return;  // flight-only: skip the unbounded trace buffers
+  if ((sinks & kSinkTrace) != 0) {
+    buffer.record_trace(name, start_ns, duration_ns, depth);
   }
-  trace_detail::TlsSlot& slot = trace_detail::tls_slot();
-  trace_detail::ThreadBuffer* buffer = slot.buffer;
-  if (buffer == nullptr ||
-      slot.generation != generation_.load(std::memory_order_relaxed)) {
-    buffer = &buffer_for_this_thread();
-  }
-  buffer->record(name, start_ns, duration_ns, depth);
 }
 
 std::vector<TraceEvent> Tracer::collect() const {
-  std::vector<const trace_detail::ThreadBuffer*> buffers;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex_);
-    buffers.reserve(buffers_.size());
-    for (const auto& b : buffers_) buffers.push_back(b.get());
-  }
   std::vector<TraceEvent> events;
-  for (const trace_detail::ThreadBuffer* b : buffers) b->drain_into(events);
+  for (const ThreadBuffer* b = g_registry.head.load(std::memory_order_acquire);
+       b != nullptr; b = b->next) {
+    b->drain_into(events);
+  }
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.tid != b.tid) return a.tid < b.tid;
@@ -163,6 +370,22 @@ std::vector<TraceEvent> Tracer::collect() const {
               return a.duration_ns > b.duration_ns;  // parents first
             });
   return events;
+}
+
+std::vector<TraceEvent> Tracer::thread_spans_since(
+    std::uint64_t since_ns) const {
+  std::vector<TraceEvent> spans;
+  const ThreadSlot& slot = thread_slot();
+  if (slot.buffer == nullptr ||
+      slot.generation !=
+          g_registry.generation.load(std::memory_order_relaxed)) {
+    return spans;
+  }
+  slot.buffer->visit_ring(slot.buffer->owner_first,
+                          [&](const TraceEvent& ev) {
+                            if (ev.start_ns >= since_ns) spans.push_back(ev);
+                          });
+  return spans;
 }
 
 std::vector<SpanSummary> Tracer::summarize() const {
@@ -231,54 +454,169 @@ std::string Tracer::summary_json() const {
   return out.str();
 }
 
-void Tracer::export_chrome_trace(std::ostream& out) const {
-  // Span names are compile-time literals under our control, but escape
-  // anyway so the exporter never emits malformed JSON.
-  const auto escape = [](const char* s) {
-    std::string e;
-    for (; *s != '\0'; ++s) {
-      const char c = *s;
-      if (c == '"' || c == '\\') {
-        e.push_back('\\');
-        e.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        std::array<char, 8> buf{};
-        std::snprintf(buf.data(), buf.size(), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(c)));
-        e += buf.data();
-      } else {
-        e.push_back(c);
-      }
-    }
-    return e;
-  };
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& ev : collect()) {
-    if (!first) out << ",";
-    first = false;
-    std::array<char, 96> num{};
-    std::snprintf(num.data(), num.size(),
-                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
-                  static_cast<double>(ev.start_ns) / 1e3,
-                  static_cast<double>(ev.duration_ns) / 1e3, ev.tid);
-    out << "\n{\"name\":\"" << escape(ev.name) << "\",\"ph\":\"X\","
-        << num.data() << ",\"args\":{\"depth\":" << ev.depth << "}}";
-  }
-  out << "\n]}\n";
-}
-
 Result<bool> Tracer::export_chrome_trace_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
+  const int fd = open_for_writing(path);
+  if (fd < 0) {
     return Error{path, "cannot open trace output file for writing"};
   }
-  export_chrome_trace(out);
-  out.flush();
-  if (!out) {
+  EventWriter out(fd);
+  out.append("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+  for (const TraceEvent& ev : collect()) out.event(ev);
+  out.append("\n]}\n");
+  const bool written = out.flush();
+  if (::close(fd) != 0 || !written) {
     return Error{path, "error writing trace output file"};
   }
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// Crash dumps: the pre-opened fd, the signal handlers and the log ring.
+
+namespace {
+
+constexpr std::size_t kLogLines = 128;
+// Longer lines are dropped and counted, never truncated into invalid JSON.
+constexpr std::size_t kLogLineBytes = 384;
+
+struct LogSlot {
+  // 0 while (re)writing; the final byte length once published.
+  std::atomic<std::uint32_t> len{0};
+  char data[kLogLineBytes];
+};
+
+LogSlot g_log[kLogLines];
+std::atomic<std::uint64_t> g_log_count{0};
+std::atomic<std::uint64_t> g_log_dropped{0};
+
+std::atomic<int> g_dump_fd{-1};
+std::atomic<bool> g_armed{false};
+std::atomic<bool> g_dumping{false};
+struct sigaction g_old_segv, g_old_abrt, g_old_bus;
+
+/// The whole dump document. Async-signal-safe (see crash_handler).
+void write_dump(int fd, int sig) {
+  EventWriter out(fd);
+  out.append("{\"displayTimeUnit\":\"ms\",\"crash_signal\":");
+  out.append_u64(static_cast<std::uint64_t>(sig));
+  out.append(",\"traceEvents\":[");
+  for (const ThreadBuffer* b = g_registry.head.load(std::memory_order_acquire);
+       b != nullptr; b = b->next) {
+    b->visit_ring(0, [&out](const TraceEvent& ev) { out.event(ev); });
+  }
+  // A zero-length marker, stamped after the rings were read so that no
+  // span in the dump ends after it, on a tid of its own. It also keeps
+  // traceEvents non-empty.
+  TraceEvent marker;
+  marker.name = "flight/dump";
+  marker.start_ns = Tracer::instance().now_ns();
+  marker.tid = g_registry.next_tid.load(std::memory_order_relaxed);
+  out.event(marker);
+  out.append("\n],\"log\":[");
+
+  const std::uint64_t log_count = g_log_count.load(std::memory_order_acquire);
+  bool first = true;
+  for (std::uint64_t i = log_count > kLogLines ? log_count - kLogLines : 0;
+       i < log_count; ++i) {
+    const LogSlot& slot = g_log[i % kLogLines];
+    const std::uint32_t len = slot.len.load(std::memory_order_acquire);
+    if (len == 0 || len > kLogLineBytes) continue;
+    if (slot.data[0] != '{' || slot.data[len - 1] != '}') continue;
+    out.append(first ? "\n" : ",\n");
+    first = false;
+    out.append(std::string_view(slot.data, len));
+  }
+  const std::uint64_t dropped = g_log_dropped.load(std::memory_order_relaxed);
+  if (dropped != 0) {
+    out.append(first ? "\n" : ",\n");
+    out.append("{\"flight_dropped_logs\":");
+    out.append_u64(dropped);
+    out.push_back('}');
+  }
+  out.append("\n]}\n");
+  out.flush();
+}
+
+// Async-signal-safe: the handler and everything it calls use only
+// write(2), fsync(2), clock_gettime(2), sigaction(2) and raise(3). They
+// read only atomics and memory that is never freed (the buffer list and
+// its rings, the log ring, string-literal span names, and the Tracer,
+// which arm_crash_dump() constructed before installing the handler), and
+// take no lock.
+void crash_handler(int sig) {
+  // One dump per process: a fault inside the handler (or a second
+  // signal on another thread) must not recurse into the writer.
+  if (!g_dumping.exchange(true, std::memory_order_acq_rel)) {
+    const int fd = g_dump_fd.load(std::memory_order_acquire);
+    if (fd >= 0) {
+      write_dump(fd, sig);
+      ::fsync(fd);
+    }
+  }
+  struct sigaction dfl;
+  std::memset(&dfl, 0, sizeof(dfl));
+  dfl.sa_handler = SIG_DFL;
+  ::sigaction(sig, &dfl, nullptr);
+  ::raise(sig);
+}
+
+}  // namespace
+
+Result<bool> arm_crash_dump(const std::string& path) {
+  disarm_crash_dump();
+  const int fd = open_for_writing(path);
+  if (fd < 0) {
+    return Error{path, "cannot open flight-recorder dump file"};
+  }
+  // Rings on first: this also constructs the Tracer the handler reads.
+  Tracer::instance().set_ring_recording(true);
+  g_dump_fd.store(fd, std::memory_order_release);
+  g_dumping.store(false, std::memory_order_relaxed);
+
+  struct sigaction sa;
+  std::memset(&sa, 0, sizeof(sa));
+  sa.sa_handler = crash_handler;
+  ::sigemptyset(&sa.sa_mask);
+  ::sigaction(SIGSEGV, &sa, &g_old_segv);
+  ::sigaction(SIGABRT, &sa, &g_old_abrt);
+  ::sigaction(SIGBUS, &sa, &g_old_bus);
+  g_armed.store(true, std::memory_order_release);
+  return true;
+}
+
+void disarm_crash_dump() {
+  if (g_armed.exchange(false, std::memory_order_acq_rel)) {
+    ::sigaction(SIGSEGV, &g_old_segv, nullptr);
+    ::sigaction(SIGABRT, &g_old_abrt, nullptr);
+    ::sigaction(SIGBUS, &g_old_bus, nullptr);
+  }
+  const int fd = g_dump_fd.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) ::close(fd);
+}
+
+Result<bool> write_flight_dump(const std::string& path) {
+  const int fd = open_for_writing(path);
+  if (fd < 0) {
+    return Error{path, "cannot open flight-recorder dump file"};
+  }
+  write_dump(fd, 0);
+  if (::close(fd) != 0) {
+    return Error{path, "error writing flight-recorder dump"};
+  }
+  return true;
+}
+
+void record_log_line(std::string_view line) {
+  if (line.empty() || line.size() > kLogLineBytes) {
+    g_log_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const std::uint64_t n = g_log_count.fetch_add(1, std::memory_order_relaxed);
+  LogSlot& slot = g_log[n % kLogLines];
+  slot.len.store(0, std::memory_order_release);
+  std::memcpy(slot.data, line.data(), line.size());
+  slot.len.store(static_cast<std::uint32_t>(line.size()),
+                 std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------

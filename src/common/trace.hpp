@@ -1,13 +1,21 @@
-// Low-overhead structured tracing for the whole pipeline.
+// Low-overhead structured tracing for the whole pipeline, and the crash
+// dump built on it.
 //
 // A Span is an RAII scope: construction stamps a start time, destruction
 // records one completed event (name, thread, start, duration, nesting
-// depth) into the calling thread's buffer. Buffers are single-producer /
-// single-consumer: the owning thread appends without taking a lock (one
-// mutex acquisition per 4096-event chunk, and chunk storage comes from a
-// per-thread Arena, so the hot path never calls malloc), and readers
-// observe completed events through a release/acquire counter, so a live
-// server can be summarized while request threads keep recording.
+// depth) into the calling thread's buffer. Each buffer keeps two stores,
+// both filled by the one Tracer::record:
+//   * the trace store (enable()): an unbounded chunk list for `--trace`.
+//     The owning thread appends without taking a lock (one mutex
+//     acquisition per 4096-event chunk, and chunk storage comes from a
+//     per-thread Arena, so the hot path never calls malloc), and readers
+//     observe completed events through a release/acquire counter, so a
+//     live server can be summarized while request threads keep recording;
+//   * the ring (set_ring_recording()): the thread's last kRingSpans spans,
+//     for crash dumps (`--flight-dump`) and the slow-query log.
+// Buffers are never freed. A thread that exits hands its buffer to the
+// next new thread once the buffer holds no trace events, so thread churn
+// (an engine pool per reload) neither grows memory nor drops spans.
 //
 // The process-wide Tracer is off by default; a disabled Span costs one
 // relaxed atomic load and a branch. Defining GPUMINE_TRACING=0 compiles
@@ -18,16 +26,15 @@
 // Export targets the Chrome trace-event JSON format ("X" complete
 // events), loadable in Perfetto / chrome://tracing, plus a collapsed
 // per-span-name summary whose rows are sorted by name so `--stats`
-// output stays deterministic at any thread count.
+// output stays deterministic at any thread count. One writer, which
+// uses only write(2), produces both `--trace` files and crash dumps.
 #pragma once
 
 #include <atomic>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.hpp"
@@ -39,7 +46,8 @@
 namespace gpumine {
 
 /// One completed span as drained from the buffers. `tid` is a small
-/// sequential id assigned at thread registration (stable within a run),
+/// sequential id a thread's buffer gets when the thread first records
+/// after reset() (a buffer handed on by an exited thread keeps its id),
 /// `start_ns` is relative to the Tracer epoch, `depth` is the nesting
 /// level on the recording thread (0 = outermost).
 struct TraceEvent {
@@ -58,59 +66,64 @@ struct SpanSummary {
   std::uint64_t max_ns = 0;    // longest single span
 };
 
-namespace trace_detail {
-struct ThreadBuffer;
-}  // namespace trace_detail
+/// CLOCK_MONOTONIC in nanoseconds: the one clock behind spans, the crash
+/// dump marker and the logger's repeat window. Async-signal-safe.
+[[nodiscard]] std::uint64_t monotonic_ns();
 
-/// Process-wide trace collector. Thread buffers register lazily on first
-/// record and live until reset(); recording is wait-free for the owning
-/// thread apart from one cold mutex per chunk. enable()/reset() must not
-/// race with in-flight spans (the CLI enables before the pipeline runs
-/// and exports after it finishes; the server enables at startup and
-/// exports at shutdown) — collect()/summarize() may run concurrently
-/// with recording and see every event published before the call.
+/// Process-wide trace collector. A thread's buffer registers on its
+/// first record; recording is wait-free for the owning thread apart from
+/// one cold mutex per chunk. enable()/reset() must not race with
+/// in-flight spans (the CLI enables before the pipeline runs and exports
+/// after it finishes; the server enables at startup and exports at
+/// shutdown) — collect()/summarize() may run concurrently with recording
+/// and see every event published before the call.
 class Tracer {
  public:
-  /// record() routes completed spans to any combination of sinks: the
-  /// full trace buffers (kSinkTrace, toggled by enable()/disable()) and
-  /// the bounded FlightRecorder rings (kSinkFlight). A Span costs one
-  /// relaxed load whether zero, one, or both sinks are on.
-  static constexpr std::uint32_t kSinkTrace = 1u;
-  static constexpr std::uint32_t kSinkFlight = 2u;
+  /// Spans each thread's ring keeps.
+  static constexpr std::size_t kRingSpans = 256;
 
   static Tracer& instance();
 
+  /// Turns the trace store on/off.
   void enable();
   void disable();
   [[nodiscard]] bool enabled() const {
     return (sinks_.load(std::memory_order_relaxed) & kSinkTrace) != 0;
   }
 
-  /// Toggles the flight-recorder sink (independent of enable()).
-  void set_flight_recording(bool on);
-  [[nodiscard]] bool flight_recording() const {
-    return (sinks_.load(std::memory_order_relaxed) & kSinkFlight) != 0;
+  /// Turns the per-thread rings on/off (independent of enable()).
+  void set_ring_recording(bool on);
+  [[nodiscard]] bool ring_recording() const {
+    return (sinks_.load(std::memory_order_relaxed) & kSinkRing) != 0;
   }
 
-  /// True when any sink wants spans — the Span fast-path check.
+  /// True when any store wants spans — the Span fast-path check.
   [[nodiscard]] bool active() const {
     return sinks_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Drops all recorded events and thread registrations. Requires
-  /// quiescence: no spans in flight on any thread.
+  /// Empties every buffer in place, restarts thread ids at 0 and moves
+  /// the epoch to now. Requires quiescence: no spans in flight.
   void reset();
 
-  /// Nanoseconds since the tracer epoch (steady clock).
-  [[nodiscard]] std::uint64_t now_ns() const;
+  /// Nanoseconds since the tracer epoch. Async-signal-safe.
+  [[nodiscard]] std::uint64_t now_ns() const {
+    return monotonic_ns() - epoch_ns_.load(std::memory_order_relaxed);
+  }
 
   /// Records one completed event on the calling thread's buffer.
   void record(const char* name, std::uint64_t start_ns,
               std::uint64_t duration_ns, std::uint32_t depth);
 
-  /// Snapshot of every published event, sorted by (tid, start, -duration)
-  /// so parents precede their children deterministically.
+  /// Snapshot of the trace store, sorted by (tid, start, -duration) so
+  /// parents precede their children deterministically.
   [[nodiscard]] std::vector<TraceEvent> collect() const;
+
+  /// The calling thread's ring spans that started at or after `since_ns`,
+  /// oldest first. The slow-query log calls this with the request's
+  /// start.
+  [[nodiscard]] std::vector<TraceEvent> thread_spans_since(
+      std::uint64_t since_ns) const;
 
   /// Per-name aggregates, sorted by name.
   [[nodiscard]] std::vector<SpanSummary> summarize() const;
@@ -122,10 +135,7 @@ class Tracer {
   /// [{"name":...,"count":...,"total_ms":...,"max_ms":...},...]
   [[nodiscard]] std::string summary_json() const;
 
-  /// Writes the Chrome trace-event JSON document to `out`.
-  void export_chrome_trace(std::ostream& out) const;
-
-  /// Writes the Chrome trace-event JSON document to `path`.
+  /// Writes the trace store as a Chrome trace-event JSON document.
   [[nodiscard]] Result<bool> export_chrome_trace_file(
       const std::string& path) const;
 
@@ -134,17 +144,12 @@ class Tracer {
 
  private:
   Tracer();
-  ~Tracer();
 
-  trace_detail::ThreadBuffer& buffer_for_this_thread();
+  static constexpr std::uint32_t kSinkTrace = 1u;
+  static constexpr std::uint32_t kSinkRing = 2u;
 
   std::atomic<std::uint32_t> sinks_{0};
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<trace_detail::ThreadBuffer>> buffers_;
-  // Bumped by reset(); a thread whose cached buffer carries an older
-  // generation re-registers on its next record.
-  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<std::uint64_t> epoch_ns_;
 };
 
 /// Validates a Chrome trace-event file written by the exporter: the
@@ -158,6 +163,24 @@ class Tracer {
 /// Same validation over an in-memory document (for tests).
 [[nodiscard]] Result<std::size_t> validate_chrome_trace_text(
     const std::string& text);
+
+/// Crash dumps (`--flight-dump`): pre-opens `path`, turns the rings on
+/// and installs SIGSEGV/SIGABRT/SIGBUS handlers that write every ring
+/// and the log ring there, then re-raise with the default disposition.
+[[nodiscard]] Result<bool> arm_crash_dump(const std::string& path);
+
+/// Restores the previous signal dispositions and closes the dump fd.
+void disarm_crash_dump();
+
+/// Writes the document the crash handler writes, from a normal context
+/// and with crash_signal 0: {"crash_signal":0,"traceEvents":[rings...,
+/// "flight/dump" marker],"log":[lines...]}. The marker is stamped last,
+/// on the tracer clock, on a tid one past the highest thread id.
+[[nodiscard]] Result<bool> write_flight_dump(const std::string& path);
+
+/// Keeps one complete JSON log line for crash dumps (the last 128 are
+/// kept; a line longer than 384 bytes is counted as dropped instead).
+void record_log_line(std::string_view line);
 
 #if GPUMINE_TRACING
 /// RAII scope: records one event on destruction if the tracer was

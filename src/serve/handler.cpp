@@ -1,12 +1,10 @@
 #include "serve/handler.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
-#include "analysis/export.hpp"
-#include "common/flight.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/trace.hpp"
 #include "core/snapshot.hpp"
@@ -21,15 +19,11 @@ int hex_digit(char c) {
   return -1;
 }
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 HttpResponse error_response(int status, const std::string& message) {
-  return {status, "application/json",
-          "{\"error\":\"" + analysis::json_escape(message) + "\"}"};
+  std::string body = "{\"error\":\"";
+  append_json_escaped(body, message);
+  body += "\"}";
+  return {status, "application/json", std::move(body)};
 }
 
 /// Value of `name` in a query string ("a=1&b=2"), percent-decoded;
@@ -113,7 +107,7 @@ HttpResponse RequestHandler::handle(std::string_view method,
                                     : target.substr(0, question);
   const auto begin = std::chrono::steady_clock::now();
   // Tracer-clock stamp of the request start, for pulling this request's
-  // span subtree out of the flight ring if it turns out slow.
+  // span subtree out of the thread's ring if it turns out slow.
   const std::uint64_t trace_start_ns =
       slow_query_ns_ != 0 ? Tracer::instance().now_ns() : 0;
   HttpResponse response;
@@ -137,19 +131,19 @@ void RequestHandler::log_slow_query(std::string_view method,
                                     std::uint64_t nanos,
                                     std::uint64_t trace_start_ns) {
   // The request's own spans: everything this thread completed since the
-  // request began. Empty when flight recording is off.
+  // request began. Empty when ring recording is off.
   std::string spans = "[";
-  bool first = true;
-  for (const FlightRecorder::SpanCopy& span :
-       FlightRecorder::instance().thread_spans_since(trace_start_ns)) {
-    if (!first) spans += ',';
-    first = false;
-    spans += "{\"name\":\"" + analysis::json_escape(span.name) +
-             "\",\"start_us\":" + fmt(static_cast<double>(span.start_ns -
-                                                          trace_start_ns) /
-                                      1e3) +
-             ",\"dur_us\":" + fmt(static_cast<double>(span.duration_ns) / 1e3) +
-             ",\"depth\":" + std::to_string(span.depth) + "}";
+  for (const TraceEvent& span :
+       Tracer::instance().thread_spans_since(trace_start_ns)) {
+    if (spans.size() > 1) spans += ',';
+    spans += "{\"name\":\"";
+    append_json_escaped(spans, span.name);
+    spans += "\",\"start_us\":";
+    append_real(spans,
+                static_cast<double>(span.start_ns - trace_start_ns) / 1e3);
+    spans += ",\"dur_us\":";
+    append_real(spans, static_cast<double>(span.duration_ns) / 1e3);
+    spans += ",\"depth\":" + std::to_string(span.depth) + "}";
   }
   spans += ']';
   log_warn("serve", "slow query",
@@ -212,7 +206,9 @@ HttpResponse RequestHandler::route(std::string_view method,
     std::string body = "{\"items\":[";
     for (std::size_t i = 0; i < names.size(); ++i) {
       if (i > 0) body += ',';
-      body += '"' + analysis::json_escape(names[i]) + '"';
+      body += '"';
+      append_json_escaped(body, names[i]);
+      body += '"';
     }
     body += "],\"frequent\":";
     if (count.has_value()) {
@@ -221,8 +217,8 @@ HttpResponse RequestHandler::route(std::string_view method,
               ? 0.0
               : static_cast<double>(*count) /
                     static_cast<double>(engine->db_size());
-      body += "true,\"count\":" + std::to_string(*count) +
-              ",\"support\":" + fmt(support);
+      body += "true,\"count\":" + std::to_string(*count) + ",\"support\":";
+      append_real(body, support);
     } else {
       body += "false,\"count\":0,\"support\":0";
     }

@@ -20,9 +20,9 @@
 // bytes — byte-identical across threads, reloads of identical
 // snapshots, and the one-shot CLI pipeline.
 //
-// Slow-query log: with set_slow_query_ns(t) and flight recording on,
+// Slow-query log: with set_slow_query_ns(t) and the Tracer's rings on,
 // any request slower than t gets a structured warn line carrying the
-// request's own span subtree pulled from the FlightRecorder ring —
+// request's own span subtree pulled from the serving thread's ring —
 // post-hoc context for exactly the requests that need explaining.
 #pragma once
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
+#include "common/json.hpp"
+
 namespace gpumine::analysis {
 namespace {
 
@@ -73,6 +78,13 @@ TEST(ExportJson, EmptyAnalysis) {
   const std::string json = rules_to_json(a, toy_catalog());
   EXPECT_NE(json.find("\"cause\":[]"), std::string::npos);
   EXPECT_NE(json.find("\"characteristic\":[]"), std::string::npos);
+}
+
+// The one JSON escaper (common/json.hpp), which rules JSON goes through.
+std::string json_escape(std::string_view text) {
+  std::string out;
+  append_json_escaped(out, text);
+  return out;
 }
 
 TEST(JsonEscape, AllClasses) {

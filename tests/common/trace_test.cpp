@@ -10,8 +10,9 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -126,9 +127,9 @@ TEST_F(TraceTest, ExporterRoundTripsThroughJsonParser) {
     Span inner("test/inner");
   }
   Tracer::instance().disable();
-  std::ostringstream exported;
-  Tracer::instance().export_chrome_trace(exported);
-  const auto checked = validate_chrome_trace_text(exported.str());
+  const std::string path = ::testing::TempDir() + "/trace_round_trip.json";
+  ASSERT_TRUE(Tracer::instance().export_chrome_trace_file(path).ok());
+  const auto checked = validate_chrome_trace_file(path);
   ASSERT_TRUE(checked.ok()) << checked.error().to_string();
   EXPECT_EQ(checked.value(), Tracer::instance().collect().size());
 }
@@ -196,6 +197,21 @@ TEST_F(TraceTest, ResetDropsEventsAndReusesCleanBuffers) {
   const auto events = Tracer::instance().collect();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "test/after_reset");
+}
+
+// A thread that exits holding trace events keeps its buffer, its events
+// and its tid until reset(): buffer reuse never loses or merges them.
+TEST_F(TraceTest, ExitedThreadsKeepTheirTraceEvents) {
+  Tracer::instance().enable();
+  for (int i = 0; i < 50; ++i) {
+    std::thread([] { Span s("test/exited"); }).join();
+  }
+  Tracer::instance().disable();
+  const auto events = Tracer::instance().collect();
+  ASSERT_EQ(events.size(), 50u);
+  std::set<std::uint32_t> tids;
+  for (const TraceEvent& ev : events) tids.insert(ev.tid);
+  EXPECT_EQ(tids.size(), 50u);
 }
 
 TEST_F(TraceTest, ManyEventsCrossChunkBoundaries) {

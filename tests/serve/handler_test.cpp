@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "common/log.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "core/snapshot.hpp"
 #include "serve_test_util.hpp"
 
@@ -258,6 +260,42 @@ TEST(RequestHandler, SlowQueryThresholdIsConfigurable) {
   const HttpResponse response = handler.handle("GET", "/query?keyword=Failed");
   EXPECT_EQ(response.status, 200);
   Logger::instance().reset_for_tests();
+}
+
+// The slow-query line carries the request's own spans from the serving
+// thread's ring, nested as they ran.
+TEST(RequestHandler, SlowQueryLogCarriesTheRequestSpans) {
+  const std::string path = ::testing::TempDir() + "/slow_query_spans.jsonl";
+  std::remove(path.c_str());
+  ASSERT_TRUE(Logger::instance().open_file(path).ok());
+  Logger::instance().set_level(LogLevel::kWarn);
+  RequestHandler handler(engine_fixture(), "");
+  handler.set_slow_query_ns(1);  // 1ns: everything is slow
+  Tracer::instance().reset();
+  Tracer::instance().set_ring_recording(true);
+  const HttpResponse response = handler.handle("GET", "/query?keyword=Failed");
+  Tracer::instance().set_ring_recording(false);
+  Logger::instance().use_stderr();  // flush + close the file sink
+  Logger::instance().reset_for_tests();
+  EXPECT_EQ(response.status, 200);
+
+  std::ifstream file(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(file, line));
+  EXPECT_NE(line.find("\"level\":\"warn\""), std::string::npos) << line;
+  EXPECT_NE(line.find("\"msg\":\"slow query\""), std::string::npos) << line;
+  const std::size_t spans = line.find("\"spans\":[");
+  ASSERT_NE(spans, std::string::npos) << line;
+  // Depth of the first span named `name` in the spans array, or -1.
+  const auto depth_of = [&](const std::string& name) {
+    const std::size_t at = line.find("{\"name\":\"" + name + "\"", spans);
+    if (at == std::string::npos) return -1;
+    const std::size_t depth = line.find("\"depth\":", at);
+    return depth == std::string::npos ? -1 : std::stoi(line.substr(depth + 8));
+  };
+  const int request = depth_of("serve/request");
+  ASSERT_GE(request, 0) << line;
+  EXPECT_EQ(depth_of("serve/engine_lookup"), request + 1) << line;
 }
 
 }  // namespace

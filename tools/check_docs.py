@@ -35,6 +35,14 @@ The classes of rot this catches:
    ``--metrics-fixture PATH`` (repeatable) checks more expositions, such
    as a live ``--metrics-out`` export, next to the committed one.
 
+5. Span inventory drift: every span name src/ can emit must have a row
+   in the span inventory of docs/OBSERVABILITY.md, and every row must
+   name a span something in src/ emits. A name is emitted when it is a
+   string literal in the argument of ``GPUMINE_SPAN(...)`` or of a
+   ``Span var(...)`` construction (both names of ``cond ? "a" : "b"``
+   count), or a ``layer/what`` literal assigned to an event's ``.name``
+   (the crash dump's marker).
+
 Exit code 0 when clean, 1 with one line per problem otherwise.
 """
 
@@ -61,6 +69,13 @@ BINARIES = {
         "gpumine_add_bench",
     ),
 }
+
+# The argument list of GPUMINE_SPAN(...) or of a `Span var(...)`
+# construction, up to the closing parenthesis before the semicolon.
+SPAN_CALL = re.compile(r"(?:\bGPUMINE_SPAN|\bSpan\s+\w+)\s*\(([^;]*?)\)\s*;")
+# An event named in place, such as the crash dump's marker.
+EVENT_NAME = re.compile(r'\.name\s*=\s*"([^"/]+/[^"]+)"')
+STRING_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
 def checked_documents():
@@ -194,6 +209,49 @@ def check_metrics_families(fixtures, problems):
             )
 
 
+def emitted_span_names():
+    """Span name -> the first src/ file that emits it."""
+    names = {}
+    for source in sorted((REPO / "src").rglob("*.[ch]pp")):
+        text = source.read_text(encoding="utf-8")
+        found = [
+            name
+            for call in SPAN_CALL.finditer(text)
+            for name in STRING_LITERAL.findall(call.group(1))
+        ]
+        found += EVENT_NAME.findall(text)
+        for name in found:
+            names.setdefault(name, source.relative_to(REPO))
+    return names
+
+
+def check_span_inventory(problems):
+    handbook = REPO / "docs" / "OBSERVABILITY.md"
+    if not handbook.is_file():
+        problems.append("docs/OBSERVABILITY.md missing (metrics handbook)")
+        return
+    section = re.search(
+        r"^### Span inventory$(.*?)^#",
+        handbook.read_text(encoding="utf-8"),
+        flags=re.M | re.S,
+    )
+    if section is None:
+        problems.append("docs/OBSERVABILITY.md: no '### Span inventory'")
+        return
+    documented = set(re.findall(r"^\| `([^`]+)` \|", section.group(1), re.M))
+    emitted = emitted_span_names()
+    for name in sorted(set(emitted) - documented):
+        problems.append(
+            f"docs/OBSERVABILITY.md: span '{name}' (emitted in "
+            f"{emitted[name]}) is missing from the span inventory"
+        )
+    for name in sorted(documented - set(emitted)):
+        problems.append(
+            f"docs/OBSERVABILITY.md: span inventory row '{name}' names a "
+            "span nothing in src/ emits (stale row)"
+        )
+
+
 def fixture_args(args, flag):
     """Paths given after each occurrence of `flag`."""
     return [
@@ -225,6 +283,7 @@ def main():
         check_binaries(doc, problems, registered)
     check_stats_schema(stats, problems)
     check_metrics_families(metrics, problems)
+    check_span_inventory(problems)
 
     for problem in problems:
         print(problem)
