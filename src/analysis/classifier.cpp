@@ -6,13 +6,16 @@
 
 namespace gpumine::analysis {
 
+void ClassifierParams::validate() const {
+  GPUMINE_CHECK_ARG(min_confidence >= 0.0 && min_confidence <= 1.0,
+                    "min_confidence must be in [0, 1]");
+}
+
 RuleClassifier::RuleClassifier(std::vector<core::Rule> rules,
                                core::ItemId target,
                                const ClassifierParams& params)
     : target_(target), default_positive_(params.default_positive) {
-  GPUMINE_CHECK_ARG(params.min_confidence >= 0.0 &&
-                        params.min_confidence <= 1.0,
-                    "min_confidence must be in [0, 1]");
+  params.validate();
   for (auto& r : rules) {
     if (r.confidence + 1e-12 < params.min_confidence) continue;
     if (!core::contains(r.consequent, target)) continue;

@@ -26,6 +26,9 @@ struct ClassifierParams {
   double min_confidence = 0.5;
   /// Prediction when no rule matches.
   bool default_positive = false;
+
+  /// Throws std::invalid_argument unless min_confidence is in [0, 1].
+  void validate() const;
 };
 
 class RuleClassifier {

@@ -1,117 +1,132 @@
 #include "cli/commands.hpp"
 
-#include "analysis/compare.hpp"
-#include "analysis/drilldown.hpp"
-#include "analysis/summarize.hpp"
-#include "core/negative.hpp"
-#include "core/significance.hpp"
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 #include <thread>
 
+#include "analysis/compare.hpp"
+#include "analysis/export.hpp"
 #include "analysis/report.hpp"
-#include "analysis/workflow.hpp"
-#include "cli/args.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "analysis/classifier.hpp"
-#include "analysis/export.hpp"
 #include "core/closed.hpp"
+#include "core/significance.hpp"
 #include "core/snapshot.hpp"
 #include "prep/csv.hpp"
 #include "serve/handler.hpp"
 #include "serve/query_engine.hpp"
-#include "serve/server.hpp"
-#include "trace/rng.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
 #include "synth/supercloud.hpp"
+#include "trace/rng.hpp"
 
 namespace gpumine::cli {
 namespace {
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string token;
-  std::istringstream stream(csv);
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
+// A row's field, and a Check that runs the validate() of the params
+// struct holding it.
+#define FIELD(member) +[](Args& args) -> auto& { return args.member; }
+#define VALIDATE(params) Check([](const Args& args) { args.params.validate(); })
 
-// Reports unknown flags; returns false (and sets the exit path) on any.
-bool reject_unused(const Args& args, std::ostream& err) {
-  const auto unused = args.unused();
-  for (const auto& name : unused) {
-    err << "unknown flag --" << name << "\n";
-  }
-  return unused.empty();
-}
+// The shared groups, each listed by the commands that use it. The
+// trace/CSV group says which CSV to read and how to bin, group and mine
+// it; none of it applies when --load or --from-itemsets replays saved
+// itemsets instead.
+const Flag kCsv[] = {
+    {"csv", "trace CSV to read", FIELD(csv)},
+    {"categorical", "columns always read as categories", FIELD(categorical)},
+    {"drop", "columns removed before encoding", FIELD(drop)},
+    {"bare", "columns whose items are named by the value alone",
+     FIELD(config.encoder.bare_label_columns)},
+    {"group", "columns grouped into Freq/Regular/New", FIELD(group)},
+    {"min-support", "minimum support, a fraction of the jobs",
+     FIELD(config.mining.min_support), VALIDATE(config.mining)},
+    {"max-length", "longest itemset mined", FIELD(config.mining.max_length),
+     VALIDATE(config.mining)},
+};
+const Flag kThreads[] = {
+    {"threads", "worker threads of every stage", FIELD(threads), Range{1, 256}},
+};
+const Flag kRule[] = {
+    {"min-lift", "lift floor of a generated rule", FIELD(config.rules.min_lift),
+     VALIDATE(config.rules)},
+};
+const Flag kPrune[] = {
+    {"c-lift", "pruning slack on lift (Conditions 1-4)",
+     FIELD(config.pruning.c_lift), VALIDATE(config.pruning)},
+    {"c-supp", "pruning slack on support (Conditions 1-4)",
+     FIELD(config.pruning.c_supp), VALIDATE(config.pruning)},
+};
+const Flag kKeyword[] = {
+    {"keyword", "item to analyze, e.g. 'Status = Failed'", FIELD(keyword), {},
+     true},
+};
+const Flag kStats[] = {{"stats", "print the run's stats", FIELD(stats)}};
 
-// Rule and pruning thresholds, shared by every command that generates
-// rules: from a CSV, or replayed from a saved snapshot (`mine --load`,
-// `snapshot --from-itemsets`).
-struct RuleFlags {
-  core::RuleParams rules;
-  core::PruneParams pruning;
+// The observability group; `query` takes --trace alone.
+const Flag kTrace[] = {
+    {"trace", "write a Chrome trace-event file of the run", FIELD(trace_file)},
+};
+const Flag kObserve[] = {
+    {"stats-json", "write the metrics document as JSON", FIELD(stats_json)},
+    {"metrics-out", "write the metrics as Prometheus text", FIELD(metrics_out)},
+    {"flight-dump", "crash dump of recent spans and logs", FIELD(flight_dump)},
+    {"log-level", "JSON log threshold (else GPUMINE_LOG_LEVEL, else warn)",
+     FIELD(log_level), "debug|info|warn|warning|error|off|none"},
+    {"log-file", "append the JSON log to this file", FIELD(log_file)},
 };
 
-// Runs a params struct's own validate() after one more flag has been
-// copied into it, so an out-of-range value is reported against that
-// flag with the library's message; the CLI does not restate the ranges.
-template <typename Params>
-std::optional<Error> check_flag(const Params& params, const char* flag) {
-  try {
-    params.validate();
-  } catch (const std::invalid_argument& e) {
-    // Drop the source location GPUMINE_CHECK_ARG puts before the message.
-    const std::string what = e.what();
-    const std::size_t at = what.rfind("): ");
-    return Error{flag, at == std::string::npos ? what : what.substr(at + 3)};
+// Prints `error`, after `what` failed if given, and returns `result`: the
+// exit status it ends the run with, or false.
+template <typename T>
+T fail(std::ostream& err, const Error& error, T result,
+       std::string_view what = "") {
+  err << what << (what.empty() ? "" : ": ") << error.to_string() << "\n";
+  return result;
+}
+
+Error unknown_item(const std::string& role, const std::string& name) {
+  return Error{"", role + " '" + name + "' is not an encoded item"};
+}
+
+// --load and --from-itemsets (`replay_flag`) replay saved itemsets, which
+// no flag of the trace/CSV group applies to; false after naming the first
+// such flag given.
+bool check_replay(const Args& args, const std::string& replay_flag,
+                  std::ostream& err) {
+  for (const Flag& flag : kCsv) {
+    if (args.given.contains(flag.name)) {
+      err << "--" << flag.name << ": cannot be combined with " << replay_flag
+          << "\n";
+      return false;
+    }
   }
-  return std::nullopt;
+  return true;
 }
 
-Result<RuleFlags> parse_rule_flags(const Args& args) {
-  const auto min_lift = args.get_double("min-lift", 1.5);
-  if (!min_lift.ok()) return min_lift.error();
-  const auto c_lift = args.get_double("c-lift", 1.5);
-  if (!c_lift.ok()) return c_lift.error();
-  const auto c_supp = args.get_double("c-supp", 1.5);
-  if (!c_supp.ok()) return c_supp.error();
-  const auto threads = args.get_uint("threads", 1);
-  if (!threads.ok()) return threads.error();
-  RuleFlags flags;
-  flags.rules.min_lift = min_lift.value();
-  if (auto bad = check_flag(flags.rules, "--min-lift")) return *bad;
-  flags.rules.num_threads = static_cast<std::size_t>(threads.value());
-  flags.pruning.c_lift = c_lift.value();
-  if (auto bad = check_flag(flags.pruning, "--c-lift")) return *bad;
-  flags.pruning.c_supp = c_supp.value();
-  if (auto bad = check_flag(flags.pruning, "--c-supp")) return *bad;
-  return flags;
+// The workflow that the trace/CSV group, --threads and the rule and
+// pruning flags describe. --threads drives every stage, the CSV parser
+// included.
+analysis::WorkflowConfig workflow_config(const Args& args) {
+  analysis::WorkflowConfig config = args.config;
+  config.drop_columns = args.drop;
+  config.mining.num_threads = config.rules.num_threads = args.threads;
+  config.prep_threads = args.threads;
+  for (const std::string& column : args.group) {
+    prep::ShareGroupingParams grouping;
+    grouping.top_label = "Freq " + column;
+    grouping.middle_label = "Regular " + column;
+    grouping.bottom_label = "New " + column;
+    config.groupings.push_back({column, grouping});
+  }
+  return config;
 }
-
-// Shared CSV -> WorkflowConfig assembly for the commands that mine a
-// trace CSV. parse_trace_flags reads every flag and touches no file, so
-// a command can reject unknown flags before it pays for a parse;
-// read_trace then reads the CSV and bins its numeric columns.
-struct TraceFlags {
-  std::string path;
-  prep::CsvParams csv;
-  analysis::WorkflowConfig config;
-};
 
 struct LoadedTrace {
   prep::Table table;
@@ -119,55 +134,17 @@ struct LoadedTrace {
   double csv_seconds = 0.0;  // CSV parse wall time, for --stats
 };
 
-Result<TraceFlags> parse_trace_flags(const Args& args) {
-  const auto path = args.get("csv");
-  if (!path.has_value() || path->empty()) {
-    return Error{"--csv", "required: path to the trace CSV"};
-  }
-  const auto min_support = args.get_double("min-support", 0.05);
-  if (!min_support.ok()) return min_support.error();
-  const auto max_length = args.get_uint("max-length", 5);
-  if (!max_length.ok()) return max_length.error();
-  core::MiningParams mining;
-  mining.min_support = min_support.value();
-  if (auto bad = check_flag(mining, "--min-support")) return *bad;
-  mining.max_length = static_cast<std::size_t>(max_length.value());
-  if (auto bad = check_flag(mining, "--max-length")) return *bad;
-  const auto rule_flags = parse_rule_flags(args);
-  if (!rule_flags.ok()) return rule_flags.error();
-  const std::size_t threads = rule_flags.value().rules.num_threads;
-
-  TraceFlags flags;
-  flags.path = *path;
-  flags.csv.force_categorical =
-      split_list(args.get_or("categorical", "job_id"));
-  // --threads drives the CSV parser's chunking too.
-  flags.csv.num_threads = threads;
-  analysis::WorkflowConfig& config = flags.config;
-  config.mining = mining;
-  // Rule generation and the prep stages share the mining worker count.
-  config.mining.num_threads = threads;
-  config.prep_threads = threads;
-  config.rules = rule_flags.value().rules;
-  config.pruning = rule_flags.value().pruning;
-  config.drop_columns = split_list(args.get_or("drop", "job_id"));
-  config.encoder.bare_label_columns = split_list(args.get_or("bare", ""));
-  for (const std::string& column : split_list(args.get_or("group", ""))) {
-    prep::ShareGroupingParams grouping;
-    grouping.top_label = "Freq " + column;
-    grouping.middle_label = "Regular " + column;
-    grouping.bottom_label = "New " + column;
-    config.groupings.push_back({column, grouping});
-  }
-  return flags;
-}
-
-Result<LoadedTrace> read_trace(TraceFlags flags) {
+// Reads --csv and bins its numeric columns.
+Result<LoadedTrace> read_trace(const Args& args) {
+  if (args.csv.empty()) return Error{"--csv", "required"};
+  prep::CsvParams csv;
+  csv.force_categorical = args.categorical;
+  csv.num_threads = args.threads;
   const auto csv_begin = std::chrono::steady_clock::now();
-  auto parsed = prep::read_csv_file(flags.path, flags.csv);
+  auto parsed = prep::read_csv_file(args.csv, csv);
   if (!parsed.ok()) return parsed.error();
 
-  LoadedTrace loaded{std::move(parsed).value(), std::move(flags.config), 0.0};
+  LoadedTrace loaded{std::move(parsed).value(), workflow_config(args), 0.0};
   loaded.csv_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - csv_begin)
                            .count();
@@ -181,98 +158,64 @@ Result<LoadedTrace> read_trace(TraceFlags flags) {
   return loaded;
 }
 
-// RAII wiring for `--trace FILE`: arms the process tracer for the span
-// of one command. finish() exports the Chrome trace-event file, runs the
-// exporter's self-check on what it just wrote, and reports the span
-// count; it returns false (after printing why) if either step fails.
-class TraceSession {
+// The observability group's wiring for one command. start() sets up the
+// JSON log, arms the crash dump and arms the tracer. A clean exit still
+// writes the dump, so the file is always a loadable trace bundle, and
+// disarms, so in-process callers (tests) keep no signal handlers.
+// finish() exports the --trace file, self-checks it and reports its span
+// count. Both return false after printing why a step failed.
+class Observability {
  public:
-  TraceSession(const Args& args, std::ostream& err)
-      : path_(args.get_or("trace", "")), err_(err) {
-    if (!path_.empty()) {
-      Tracer::instance().reset();
-      Tracer::instance().enable();
-    }
-  }
-
-  [[nodiscard]] bool active() const { return !path_.empty(); }
-
-  bool finish(std::ostream& out) {
-    if (path_.empty()) return true;
-    Tracer& tracer = Tracer::instance();
-    tracer.disable();
-    const auto written = tracer.export_chrome_trace_file(path_);
-    if (!written.ok()) {
-      err_ << written.error().to_string() << "\n";
-      return false;
-    }
-    const auto checked = validate_chrome_trace_file(path_);
-    if (!checked.ok()) {
-      err_ << "trace self-check failed: " << checked.error().to_string()
-           << "\n";
-      return false;
-    }
-    out << "wrote trace: " << checked.value() << " spans to " << path_
-        << "\n";
-    return true;
-  }
-
- private:
-  std::string path_;
-  std::ostream& err_;
-};
-
-// Shared wiring for `--log-level LEVEL` and `--log-file FILE` on the
-// long-running commands. Returns false (after printing why) on a bad
-// level name or an unwritable file.
-bool configure_logging(const Args& args, std::ostream& err) {
-  if (const auto level = args.get("log-level"); level.has_value()) {
-    const auto parsed = parse_log_level(*level);
-    if (!parsed.ok()) {
-      err << parsed.error().to_string() << "\n";
-      return false;
-    }
-    Logger::instance().set_level(parsed.value());
-  }
-  if (const auto path = args.get("log-file");
-      path.has_value() && !path->empty()) {
-    const auto opened = Logger::instance().open_file(*path);
-    if (!opened.ok()) {
-      err << opened.error().to_string() << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
-// RAII wiring for `--flight-dump FILE`: arms the crash handler for the
-// span of one command. On a clean exit the destructor writes an ordinary
-// dump to the same path (so the file is always a loadable trace bundle,
-// crash or not) and disarms, keeping in-process callers (tests) free of
-// leftover signal handlers.
-class FlightDumpSession {
- public:
-  FlightDumpSession() = default;
-  ~FlightDumpSession() {
-    if (path_.empty()) return;
-    (void)write_flight_dump(path_);
+  Observability(const Args& args, std::ostream& err) : args_(args), err_(err) {}
+  Observability(const Observability&) = delete;
+  Observability& operator=(const Observability&) = delete;
+  ~Observability() {
+    if (!dump_armed_) return;
+    (void)write_flight_dump(args_.flight_dump);
     disarm_crash_dump();
   }
 
-  bool arm(const Args& args, std::ostream& err) {
-    const std::string path = args.get_or("flight-dump", "");
-    if (path.empty()) return true;
-    const auto armed = arm_crash_dump(path);
-    if (!armed.ok()) {
-      err << armed.error().to_string() << "\n";
-      return false;
+  bool start() {
+    if (!args_.log_level.empty()) {
+      Logger::instance().set_level(parse_log_level(args_.log_level).value());
     }
-    path_ = path;
+    if (!args_.log_file.empty()) {
+      const auto opened = Logger::instance().open_file(args_.log_file);
+      if (!opened.ok()) return fail(err_, opened.error(), false);
+    }
+    if (!args_.flight_dump.empty()) {
+      const auto armed = arm_crash_dump(args_.flight_dump);
+      if (!armed.ok()) return fail(err_, armed.error(), false);
+      dump_armed_ = true;
+    }
+    if (tracing()) {
+      Tracer::instance().reset();
+      Tracer::instance().enable();
+    }
+    return true;
+  }
+
+  [[nodiscard]] bool tracing() const { return !args_.trace_file.empty(); }
+
+  bool finish(std::ostream& out) {
+    if (!tracing()) return true;
+    Tracer& tracer = Tracer::instance();
+    tracer.disable();
+    const auto written = tracer.export_chrome_trace_file(args_.trace_file);
+    if (!written.ok()) return fail(err_, written.error(), false);
+    const auto checked = validate_chrome_trace_file(args_.trace_file);
+    if (!checked.ok()) {
+      return fail(err_, checked.error(), false, "trace self-check failed");
+    }
+    out << "wrote trace: " << checked.value() << " spans to "
+        << args_.trace_file << "\n";
     return true;
   }
 
  private:
-  std::string path_;
+  const Args& args_;
+  std::ostream& err_;
+  bool dump_armed_ = false;
 };
 
 // Splices the name-sorted span summary into a metrics JSON object, so
@@ -292,11 +235,7 @@ bool write_text_file(const std::string& path, const std::string& text,
   std::ofstream file(path, std::ios::binary);
   file << text << "\n";
   file.flush();
-  if (!file) {
-    err << path << ": cannot write file\n";
-    return false;
-  }
-  return true;
+  return file ? true : fail(err, Error{path, "cannot write file"}, false);
 }
 
 // Writes a Prometheus exposition document for `--metrics-out`, running
@@ -306,9 +245,7 @@ bool write_metrics_file(const std::string& path, const std::string& text,
                         std::ostream& out, std::ostream& err) {
   const auto checked = validate_prometheus_text(text);
   if (!checked.ok()) {
-    err << "metrics self-check failed: " << checked.error().to_string()
-        << "\n";
-    return false;
+    return fail(err, checked.error(), false, "metrics self-check failed");
   }
   if (!write_text_file(path, text, err)) return false;
   out << "wrote metrics: " << checked.value() << " series to " << path
@@ -342,162 +279,67 @@ std::string percent_encode(const std::string& text) {
   return out;
 }
 
-}  // namespace
+const Flag kSynth[] = {
+    {"trace", "cluster to imitate", FIELD(synth_trace), "pai|supercloud|philly",
+     true},
+    {"jobs", "jobs to generate", FIELD(jobs), Range{1, 10'000'000}},
+    {"seed", "generator seed", FIELD(seed)},
+    {"out", "CSV file to write", FIELD(out), {}, true},
+};
 
-int run_help(std::ostream& out) {
-  out << "gpumine - interpretable GPU-cluster trace analysis via "
-         "association rule mining\n\n"
-         "usage:\n"
-         "  gpumine synth --trace pai|supercloud|philly [--jobs N] "
-         "[--seed S] --out trace.csv\n"
-         "  gpumine itemsets --csv trace.csv [--min-support F] "
-         "[--max-length K] [--top N]\n"
-         "                   [--family all|closed|maximal] [--save FILE "
-         "(family all only)]\n"
-         "                   [--threads N] [--stats]\n"
-         "  gpumine mine (--csv trace.csv | --load FILE) --keyword ITEM "
-         "[--min-support F] [--min-lift F]\n"
-         "               [--c-lift F] [--c-supp F] [--bare col,..] "
-         "[--group col,..] [--drop col,..]\n"
-         "               [--format table|csv|json|md] [--max-rows N "
-         "(table|md only)] [--threads N] [--stats]\n"
-         "               [--trace FILE] [--stats-json FILE] [--metrics-out "
-         "FILE] [--flight-dump FILE]\n"
-         "               [--log-level debug|info|warn|error|off] "
-         "[--log-file FILE]\n"
-         "  gpumine predict --csv trace.csv --target ITEM [--holdout F] "
-         "[--min-confidence F] [--seed N]\n"
-         "  gpumine report --csv trace.csv [--principal COL] [--runtime "
-         "COL] [--sm-util COL]\n"
-         "                 [--status COL] [--gpus COL] "
-         "[--sort idle|failed|hours|rate] [--top N]\n"
-         "  gpumine digest --csv trace.csv --keyword ITEM [--max-rules N] "
-         "[--fdr Q] [--negative-confidence F]\n"
-         "  gpumine compare --a A.snap --b B.snap --keyword ITEM "
-         "[--min-lift F]\n"
-         "  gpumine snapshot (--csv trace.csv | --from-itemsets FILE) "
-         "--out FILE [+ mine flags]\n"
-         "  gpumine serve --snapshot FILE [--host H] [--port P] "
-         "[--threads N] [--check]\n"
-         "                [--trace FILE] [--stats-json FILE] [--metrics-out "
-         "FILE] [--flight-dump FILE]\n"
-         "                [--slow-query-ms N] [--log-level "
-         "debug|info|warn|error|off] [--log-file FILE]\n"
-         "  gpumine query [--host H] [--port P] (--keyword ITEM | "
-         "--items A,B | --stats | --reload | --health) [--trace FILE]\n"
-         "  gpumine trace-check --file trace.json\n"
-         "  gpumine metrics-check --file metrics.prom\n"
-         "  gpumine help\n";
-  return 0;
-}
-
-int run_synth(const std::vector<std::string>& args_raw, std::ostream& out,
-              std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string which = args.get_or("trace", "");
-  const auto jobs = args.get_uint("jobs", 20000);
-  const auto seed = args.get_uint("seed", 42);
-  const std::string path = args.get_or("out", "");
-  if (!jobs.ok() || !seed.ok()) {
-    err << (!jobs.ok() ? jobs.error() : seed.error()).to_string() << "\n";
-    return 2;
-  }
-  if (path.empty()) {
-    err << "--out is required\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-
-  prep::Table table;
-  if (which == "pai") {
-    synth::PaiConfig config;
-    config.num_jobs = jobs.value();
-    config.seed = seed.value();
-    table = synth::generate_pai(config).merged();
-  } else if (which == "supercloud") {
-    synth::SuperCloudConfig config;
-    config.num_jobs = jobs.value();
-    config.seed = seed.value();
-    table = synth::generate_supercloud(config).merged();
-  } else if (which == "philly") {
-    synth::PhillyConfig config;
-    config.num_jobs = jobs.value();
-    config.seed = seed.value();
-    table = synth::generate_philly(config).merged();
-  } else {
-    err << "--trace must be pai, supercloud or philly\n";
-    return 2;
-  }
-  const auto written = prep::write_csv_file(table, path);
-  if (!written.ok()) {
-    err << written.error().to_string() << "\n";
-    return 1;
-  }
+int run_synth(const Args& args, std::ostream& out, std::ostream& err) {
+  const auto generate = [&](auto config, auto generator) {
+    config.num_jobs = args.jobs;
+    config.seed = args.seed;
+    return generator(config).merged();
+  };
+  const prep::Table table =
+      args.synth_trace == "pai"
+          ? generate(synth::PaiConfig{}, synth::generate_pai)
+      : args.synth_trace == "supercloud"
+          ? generate(synth::SuperCloudConfig{}, synth::generate_supercloud)
+          : generate(synth::PhillyConfig{}, synth::generate_philly);
+  const auto written = prep::write_csv_file(table, args.out);
+  if (!written.ok()) return fail(err, written.error(), 1);
   out << "wrote " << table.num_rows() << " jobs x " << table.num_columns()
-      << " features to " << path << "\n";
+      << " features to " << args.out << "\n";
   return 0;
 }
 
-int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
-                 std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const auto top = args.get_uint("top", 25);
-  const std::string save_path = args.get_or("save", "");
-  const std::string family = args.get_or("family", "all");
-  const bool stats = args.has("stats");
-  auto flags = parse_trace_flags(args);
-  if (!top.ok() || !flags.ok()) {
-    err << (!top.ok() ? top.error() : flags.error()).to_string() << "\n";
-    return 2;
-  }
-  if (family != "all" && family != "closed" && family != "maximal") {
-    err << "--family must be all, closed or maximal\n";
-    return 2;
-  }
-  if (!save_path.empty() && family != "all") {
+const Flag kItemsets[] = {
+    {"top", "itemsets to list, most frequent first", FIELD(top)},
+    {"family", "itemsets to keep", FIELD(family), "all|closed|maximal"},
+    {"save", "also save the itemsets as a snapshot without rules", FIELD(save)},
+};
+
+int run_itemsets(const Args& args, std::ostream& out, std::ostream& err) {
+  if (!args.save.empty() && args.family != "all") {
     // Replaying regenerates rules, which needs every subset's support.
-    err << "--save needs --family all (a " << family
+    err << "--save needs --family all (a " << args.family
         << " family cannot be replayed)\n";
     return 2;
   }
-  if (!reject_unused(args, err)) return 2;
-  auto loaded = read_trace(std::move(flags).value());
-  if (!loaded.ok()) {
-    err << loaded.error().to_string() << "\n";
-    return 2;
-  }
+  auto loaded = read_trace(args);
+  if (!loaded.ok()) return fail(err, loaded.error(), 2);
 
   LoadedTrace trace = std::move(loaded).value();
   auto mined = analysis::mine(std::move(trace.table), trace.config);
   mined.mined.metrics.prep_stage.csv_seconds = trace.csv_seconds;
-  if (stats) out << render_stats(mined.mined.metrics);
-  if (family == "closed") {
+  if (args.stats) out << render_stats(mined.mined.metrics);
+  if (args.family == "closed") {
     mined.mined.itemsets = core::closed_itemsets(mined.mined);
-  } else if (family == "maximal") {
+  } else if (args.family == "maximal") {
     mined.mined.itemsets = core::maximal_itemsets(mined.mined);
   }
-  if (!save_path.empty()) {
+  if (!args.save.empty()) {
     // A snapshot with no rules: the replaying commands regenerate them
     // from their own flags.
     core::RuleSnapshot archive;
     archive.result = mined.mined;
     archive.catalog = mined.prepared.catalog;
-    const auto saved = core::save_rule_snapshot_file(archive, save_path);
-    if (!saved.ok()) {
-      err << saved.error().to_string() << "\n";
-      return 1;
-    }
-    out << "saved itemsets to " << save_path << "\n";
+    const auto saved = core::save_rule_snapshot_file(archive, args.save);
+    if (!saved.ok()) return fail(err, saved.error(), 1);
+    out << "saved itemsets to " << args.save << "\n";
   }
   out << mined.mined.itemsets.size() << " frequent itemsets over "
       << mined.prepared.catalog.size() << " items\n";
@@ -508,8 +350,7 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
               if (a.count != b.count) return a.count > b.count;
               return a.items < b.items;
             });
-  const std::size_t n =
-      std::min<std::size_t>(itemsets.size(), top.value());
+  const std::size_t n = std::min<std::size_t>(itemsets.size(), args.top);
   for (std::size_t i = 0; i < n; ++i) {
     out << "  [" << itemsets[i].count << "] "
         << mined.prepared.catalog.render(itemsets[i].items) << "\n";
@@ -517,190 +358,120 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
-             std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string keyword = args.get_or("keyword", "");
-  const std::string format = args.get_or("format", "table");
-  const bool stats = args.has("stats");
-  const std::string stats_json_path = args.get_or("stats-json", "");
-  const std::string metrics_out_path = args.get_or("metrics-out", "");
-  if (!configure_logging(args, err)) return 2;
-  FlightDumpSession flight;
-  if (!flight.arm(args, err)) return 2;
-  TraceSession session(args, err);
-  const auto max_rows = args.get_uint("max-rows", 10);
-  if (!max_rows.ok()) {
-    err << max_rows.error().to_string() << "\n";
-    return 2;
-  }
-  if (args.has("max-rows") && (format == "csv" || format == "json")) {
-    err << "--max-rows applies to --format table|md only; " << format
+const Flag kMine[] = {
+    {"load", "saved itemsets to replay instead of --csv", FIELD(load)},
+    {"format", "output format", FIELD(format), "table|csv|json|md"},
+    {"max-rows", "rules per table, for --format table or md", FIELD(max_rows)},
+};
+
+int run_mine(const Args& args, std::ostream& out, std::ostream& err) {
+  if (!args.load.empty() && !check_replay(args, "--load", err)) return 2;
+  if (args.given.contains("max-rows") &&
+      (args.format == "csv" || args.format == "json")) {
+    err << "--max-rows applies to --format table|md only; " << args.format
         << " lists every rule\n";
     return 2;
   }
-  if (keyword.empty()) {
-    err << "--keyword is required (an item name, e.g. 'Failed')\n";
-    return 2;
-  }
+  Observability observability(args, err);
+  if (!observability.start()) return 2;
 
   // Mining input: either a raw CSV (mined now) or a saved snapshot
   // (from `itemsets --save` or `snapshot`).
   core::MiningResult result;
   core::ItemCatalog catalog;
-  analysis::WorkflowConfig config;
-  if (const auto load_path = args.get("load"); load_path.has_value()) {
-    auto loaded = core::load_rule_snapshot_file(*load_path);
-    if (!loaded.ok()) {
-      err << loaded.error().to_string() << "\n";
-      return 2;
-    }
+  analysis::WorkflowConfig config = workflow_config(args);
+  if (!args.load.empty()) {
+    auto loaded = core::load_rule_snapshot_file(args.load);
+    if (!loaded.ok()) return fail(err, loaded.error(), 2);
     // Rules are regenerated from the flag thresholds, not the file's.
-    const auto rule_flags = parse_rule_flags(args);
-    if (!rule_flags.ok()) {
-      err << rule_flags.error().to_string() << "\n";
-      return 2;
-    }
-    config.rules = rule_flags.value().rules;
-    config.pruning = rule_flags.value().pruning;
     core::RuleSnapshot archive = std::move(loaded).value();
     result = std::move(archive.result);
     catalog = std::move(archive.catalog);
-    if (!reject_unused(args, err)) return 2;
-    if (stats) {
+    if (args.stats) {
       out << "no mining stats: --load replays saved itemsets without "
              "mining\n";
     }
   } else {
-    auto flags = parse_trace_flags(args);
-    if (!flags.ok()) {
-      err << flags.error().to_string() << "\n";
-      return 2;
-    }
-    if (!reject_unused(args, err)) return 2;
-    auto loaded = read_trace(std::move(flags).value());
-    if (!loaded.ok()) {
-      err << loaded.error().to_string() << "\n";
-      return 2;
-    }
+    auto loaded = read_trace(args);
+    if (!loaded.ok()) return fail(err, loaded.error(), 2);
     LoadedTrace trace = std::move(loaded).value();
     config = trace.config;
     auto mined = analysis::mine(std::move(trace.table), config);
     result = std::move(mined.mined);
     result.metrics.prep_stage.csv_seconds = trace.csv_seconds;
     catalog = std::move(mined.prepared.catalog);
-    if (stats) out << render_stats(result.metrics);
+    if (args.stats) out << render_stats(result.metrics);
   }
 
-  const auto keyword_id = catalog.find(keyword);
-  if (!keyword_id) {
-    err << "keyword '" << keyword << "' is not an encoded item\n";
-    return 1;
-  }
+  const auto keyword_id = catalog.find(args.keyword);
+  if (!keyword_id) return fail(err, unknown_item("keyword", args.keyword), 1);
   const auto analysis = core::analyze_keyword(result, *keyword_id,
                                               config.rules, config.pruning);
-  if (stats) out << render_stats(analysis.stage);
-  if (stats && session.active()) {
+  if (args.stats) out << render_stats(analysis.stage);
+  if (args.stats && observability.tracing()) {
     out << "trace spans (per name, sorted):\n"
         << Tracer::instance().summary_table();
   }
   result.metrics.rule_stage = analysis.stage;
-  if (!stats_json_path.empty()) {
-    if (!write_text_file(stats_json_path,
-                         with_trace_spans(render_json(result.metrics)), err)) {
-      return 1;
-    }
+  if (!args.stats_json.empty() &&
+      !write_text_file(args.stats_json,
+                       with_trace_spans(render_json(result.metrics)), err)) {
+    return 1;
   }
-  if (!metrics_out_path.empty()) {
-    if (!write_metrics_file(metrics_out_path,
-                            render_exposition(result.metrics), out, err)) {
-      return 1;
-    }
+  if (!args.metrics_out.empty() &&
+      !write_metrics_file(args.metrics_out, render_exposition(result.metrics),
+                          out, err)) {
+    return 1;
   }
-  if (format == "table") {
+  if (args.format == "table") {
     analysis::RuleTableOptions options;
-    options.max_cause = max_rows.value();
-    options.max_characteristic = max_rows.value();
+    options.max_cause = args.max_rows;
+    options.max_characteristic = args.max_rows;
     out << analysis::render_rule_table(analysis, catalog, options);
-  } else if (format == "csv") {
+  } else if (args.format == "csv") {
     out << analysis::rules_to_csv(analysis, catalog);
-  } else if (format == "json") {
+  } else if (args.format == "json") {
     out << analysis::rules_to_json(analysis, catalog) << "\n";
-  } else if (format == "md") {
-    out << analysis::rules_to_markdown(analysis, catalog, max_rows.value());
   } else {
-    err << "--format must be table, csv, json or md\n";
-    return 2;
+    out << analysis::rules_to_markdown(analysis, catalog, args.max_rows);
   }
-  return session.finish(out) ? 0 : 1;
+  return observability.finish(out) ? 0 : 1;
 }
 
-int run_predict(const std::vector<std::string>& args_raw, std::ostream& out,
-                std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string target = args.get_or("target", "");
-  const auto holdout = args.get_double("holdout", 0.3);
-  const auto min_confidence = args.get_double("min-confidence", 0.7);
-  const auto seed = args.get_uint("seed", 1);
-  auto flags = parse_trace_flags(args);
-  if (!holdout.ok() || !min_confidence.ok() || !seed.ok() || !flags.ok()) {
-    const Error& e = !holdout.ok()          ? holdout.error()
-                     : !min_confidence.ok() ? min_confidence.error()
-                     : !seed.ok()           ? seed.error()
-                                            : flags.error();
-    err << e.to_string() << "\n";
-    return 2;
-  }
-  if (target.empty()) {
-    err << "--target is required (the item to predict, e.g. 'Failed')\n";
-    return 2;
-  }
-  if (holdout.value() <= 0.0 || holdout.value() >= 1.0) {
-    err << "--holdout must be in (0, 1)\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-  auto loaded = read_trace(std::move(flags).value());
-  if (!loaded.ok()) {
-    err << loaded.error().to_string() << "\n";
-    return 2;
-  }
+const Flag kPredict[] = {
+    {"target", "item to predict", FIELD(target), {}, true},
+    {"holdout", "fraction of the jobs held out for testing", FIELD(holdout),
+     Range{0, 1, true, true}},
+    {"min-confidence", "confidence floor of a classifier rule",
+     FIELD(classifier.min_confidence), VALIDATE(classifier)},
+    {"seed", "seed of the holdout split", FIELD(split_seed)},
+};
+
+int run_predict(const Args& args, std::ostream& out, std::ostream& err) {
+  auto loaded = read_trace(args);
+  if (!loaded.ok()) return fail(err, loaded.error(), 2);
 
   LoadedTrace trace = std::move(loaded).value();
   const auto& config = trace.config;
 
   // Deterministic random holdout split.
-  trace::Rng rng(seed.value());
+  trace::Rng rng(args.split_seed);
   const std::size_t rows = trace.table.num_rows();
   std::vector<bool> is_train(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    is_train[r] = !rng.bernoulli(holdout.value());
+    is_train[r] = !rng.bernoulli(args.holdout);
   }
   std::vector<bool> is_test = is_train;
   is_test.flip();
 
   auto train = analysis::mine(trace.table.filter_rows(is_train), config);
-  const auto target_id = train.prepared.catalog.find(target);
-  if (!target_id) {
-    err << "target '" << target << "' is not an encoded item\n";
-    return 1;
-  }
+  const auto target_id = train.prepared.catalog.find(args.target);
+  if (!target_id) return fail(err, unknown_item("target", args.target), 1);
   const auto rules = core::generate_rules(train.mined, config.rules);
   const auto cause =
       core::filter_keyword(rules, *target_id, core::KeywordSide::kConsequent);
-  analysis::ClassifierParams clf_params;
-  clf_params.min_confidence = min_confidence.value();
-  const analysis::RuleClassifier classifier(cause, *target_id, clf_params);
+  const analysis::RuleClassifier classifier(cause, *target_id,
+                                            args.classifier);
 
   // Encode the held-out rows and remap them into the training vocabulary.
   auto test = analysis::prepare(trace.table.filter_rows(is_test), config);
@@ -733,117 +504,65 @@ int run_predict(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_report(const std::vector<std::string>& args_raw, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const auto csv_path = args.get("csv");
-  if (!csv_path.has_value() || csv_path->empty()) {
-    err << "--csv is required\n";
-    return 2;
-  }
-  analysis::TableDrilldownSpec spec;
-  spec.principal_column = args.get_or("principal", "User");
-  spec.runtime_column = args.get_or("runtime", "Runtime");
-  spec.gpus_column = args.get_or("gpus", "");
-  spec.sm_util_column = args.get_or("sm-util", "SM Util");
-  spec.status_column = args.get_or("status", "Status");
-  spec.failed_label = args.get_or("failed-label", "Failed");
-  spec.killed_label = args.get_or("killed-label", "Killed");
+const Flag kReport[] = {
+    {"csv", "trace CSV to read", FIELD(csv), {}, true},
+    {"principal", "user or group column", FIELD(report.principal_column)},
+    {"runtime", "runtime column, in seconds", FIELD(report.runtime_column)},
+    {"gpus", "column of GPUs per job", FIELD(report.gpus_column)},
+    {"sm-util", "mean SM utilization column, %", FIELD(report.sm_util_column)},
+    {"status", "column of job statuses", FIELD(report.status_column)},
+    {"failed-label", "status of a failed job", FIELD(report.failed_label)},
+    {"killed-label", "status of a killed job", FIELD(report.killed_label)},
+    {"sort", "rank by idle or failed GPU hours, GPU hours or failure rate",
+     FIELD(sort), "idle|failed|hours|rate"},
+    {"top", "principals to list", FIELD(drilldown.top_k), VALIDATE(drilldown)},
+};
 
-  analysis::DrilldownParams params;
-  const auto top = args.get_uint("top", 10);
-  if (!top.ok()) {
-    err << top.error().to_string() << "\n";
-    return 2;
-  }
-  params.top_k = top.value();
-  const std::string sort = args.get_or("sort", "idle");
-  if (sort == "idle") {
-    params.sort = analysis::DrilldownSort::kIdleGpuHours;
-  } else if (sort == "failed") {
-    params.sort = analysis::DrilldownSort::kFailedGpuHours;
-  } else if (sort == "hours") {
-    params.sort = analysis::DrilldownSort::kGpuHours;
-  } else if (sort == "rate") {
-    params.sort = analysis::DrilldownSort::kFailureRate;
-  } else {
-    err << "--sort must be idle, failed, hours or rate\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-
+int run_report(const Args& args, std::ostream& out, std::ostream& err) {
+  using analysis::DrilldownSort;
+  analysis::DrilldownParams params = args.drilldown;
+  params.sort = args.sort == "failed"  ? DrilldownSort::kFailedGpuHours
+                : args.sort == "hours" ? DrilldownSort::kGpuHours
+                : args.sort == "rate"  ? DrilldownSort::kFailureRate
+                                       : DrilldownSort::kIdleGpuHours;
   prep::CsvParams csv;
-  csv.force_categorical = {"job_id", spec.principal_column};
-  auto table = prep::read_csv_file(*csv_path, csv);
-  if (!table.ok()) {
-    err << table.error().to_string() << "\n";
-    return 2;
-  }
+  csv.force_categorical = {"job_id", args.report.principal_column};
+  auto table = prep::read_csv_file(args.csv, csv);
+  if (!table.ok()) return fail(err, table.error(), 2);
   auto stats =
-      analysis::drilldown_from_table(table.value(), spec, params);
-  if (!stats.ok()) {
-    err << stats.error().to_string() << "\n";
-    return 2;
-  }
+      analysis::drilldown_from_table(table.value(), args.report, params);
+  if (!stats.ok()) return fail(err, stats.error(), 2);
   out << analysis::render_drilldown(stats.value());
   return 0;
 }
 
-int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string keyword = args.get_or("keyword", "");
-  const auto max_rules = args.get_uint("max-rules", 6);
-  const auto fdr = args.get_double("fdr", 0.01);
-  const auto neg_conf = args.get_double("negative-confidence", 0.7);
-  const std::string exclude_list = args.get_or("exclude", "");
-  auto flags = parse_trace_flags(args);
-  if (!max_rules.ok() || !fdr.ok() || !neg_conf.ok() || !flags.ok()) {
-    const Error& e = !max_rules.ok() ? max_rules.error()
-                     : !fdr.ok()     ? fdr.error()
-                     : !neg_conf.ok() ? neg_conf.error()
-                                      : flags.error();
-    err << e.to_string() << "\n";
-    return 2;
-  }
-  if (keyword.empty()) {
-    err << "--keyword is required\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-  auto loaded = read_trace(std::move(flags).value());
-  if (!loaded.ok()) {
-    err << loaded.error().to_string() << "\n";
-    return 2;
-  }
+const Flag kDigest[] = {
+    {"max-rules", "rules in the digest", FIELD(summarize.max_rules),
+     VALIDATE(summarize)},
+    {"fdr", "false discovery rate of the Fisher/BH certification", FIELD(fdr),
+     Range{0, 1, true}},
+    {"negative-confidence", "confidence floor of a safe pattern, X => NOT Y",
+     FIELD(negative.min_confidence), VALIDATE(negative)},
+    {"exclude", "items kept out of safe-pattern antecedents", FIELD(exclude)},
+};
+
+int run_digest(const Args& args, std::ostream& out, std::ostream& err) {
+  auto loaded = read_trace(args);
+  if (!loaded.ok()) return fail(err, loaded.error(), 2);
 
   LoadedTrace trace = std::move(loaded).value();
   const auto config = trace.config;
   auto mined = analysis::mine(std::move(trace.table), config);
   const auto& catalog = mined.prepared.catalog;
-  const auto keyword_id = catalog.find(keyword);
-  if (!keyword_id) {
-    err << "keyword '" << keyword << "' is not an encoded item\n";
-    return 1;
-  }
+  const auto keyword_id = catalog.find(args.keyword);
+  if (!keyword_id) return fail(err, unknown_item("keyword", args.keyword), 1);
   const auto analysis = core::analyze_keyword(mined.mined, *keyword_id,
                                               config.rules, config.pruning);
 
-  analysis::SummarizeParams summarize;
-  summarize.max_rules = max_rules.value();
   const auto digest = analysis::summarize_cause_rules(
-      analysis.cause, mined.prepared.db, *keyword_id, summarize);
-  out << "digest (greedy coverage of '" << keyword << "' transactions):\n";
+      analysis.cause, mined.prepared.db, *keyword_id, args.summarize);
+  out << "digest (greedy coverage of '" << args.keyword
+      << "' transactions):\n";
   std::vector<core::Rule> digest_rules;
   for (const auto& entry : digest) {
     out << "  " << analysis::render_rule(entry.rule, catalog)
@@ -853,24 +572,23 @@ int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
     digest_rules.push_back(entry.rule);
   }
 
-  const auto certified = core::significant_rules(
-      digest_rules, mined.mined.db_size, fdr.value());
+  const auto certified =
+      core::significant_rules(digest_rules, mined.mined.db_size, args.fdr);
   out << "certified " << certified.size() << " of " << digest_rules.size()
-      << " digest rules (Fisher exact, BH q=" << fdr.value() << ")\n";
+      << " digest rules (Fisher exact, BH q=" << args.fdr << ")\n";
 
-  core::NegativeRuleParams negative;
-  negative.min_confidence = neg_conf.value();
+  core::NegativeRuleParams negative = args.negative;
   negative.mining_min_support = config.mining.min_support;
   // Tautology guard: e.g. --exclude Terminated when the keyword is
   // Failed, so "{Terminated} => NOT Failed" does not top the list.
-  for (const std::string& name : split_list(exclude_list)) {
+  for (const std::string& name : args.exclude) {
     if (const auto id = catalog.find(name)) {
       negative.excluded_antecedent_items.push_back(*id);
     }
   }
   const auto safe =
       core::generate_negative_rules(mined.mined, *keyword_id, negative);
-  out << "safe patterns (X => NOT " << keyword << "): " << safe.size()
+  out << "safe patterns (X => NOT " << args.keyword << "): " << safe.size()
       << "\n";
   for (std::size_t i = 0; i < safe.size() && i < 5; ++i) {
     out << "  {" << catalog.render(safe[i].antecedent)
@@ -880,46 +598,26 @@ int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_compare(const std::vector<std::string>& args_raw, std::ostream& out,
-                std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string path_a = args.get_or("a", "");
-  const std::string path_b = args.get_or("b", "");
-  const std::string keyword = args.get_or("keyword", "");
-  const auto min_lift = args.get_double("min-lift", 1.5);
-  if (!min_lift.ok()) {
-    err << min_lift.error().to_string() << "\n";
-    return 2;
-  }
-  if (path_a.empty() || path_b.empty() || keyword.empty()) {
-    err << "--a FILE --b FILE --keyword ITEM are required "
-           "(snapshots from `itemsets --save` or `snapshot`)\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
+const Flag kCompare[] = {
+    {"a", "first snapshot (itemsets --save or snapshot)", FIELD(a), {}, true},
+    {"b", "second snapshot", FIELD(b), {}, true},
+};
 
-  auto loaded_a = core::load_rule_snapshot_file(path_a);
-  auto loaded_b = core::load_rule_snapshot_file(path_b);
+int run_compare(const Args& args, std::ostream& out, std::ostream& err) {
+  auto loaded_a = core::load_rule_snapshot_file(args.a);
+  auto loaded_b = core::load_rule_snapshot_file(args.b);
   if (!loaded_a.ok() || !loaded_b.ok()) {
-    err << (!loaded_a.ok() ? loaded_a : loaded_b).error().to_string() << "\n";
-    return 2;
+    return fail(err, (!loaded_a.ok() ? loaded_a : loaded_b).error(), 2);
   }
   const core::RuleSnapshot a = std::move(loaded_a).value();
   const core::RuleSnapshot b = std::move(loaded_b).value();
 
-  core::RuleParams rule_params;
-  rule_params.min_lift = min_lift.value();
   auto keyword_rules = [&](const core::RuleSnapshot& archive)
       -> std::vector<core::Rule> {
-    const auto id = archive.catalog.find(keyword);
+    const auto id = archive.catalog.find(args.keyword);
     if (!id) return {};
     return core::filter_keyword(
-        core::generate_rules(archive.result, rule_params), *id);
+        core::generate_rules(archive.result, args.config.rules), *id);
   };
   const auto rules_a = keyword_rules(a);
   const auto rules_b = keyword_rules(b);
@@ -945,52 +643,27 @@ int run_compare(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
-                 std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string out_path = args.get_or("out", "");
-  if (out_path.empty()) {
-    err << "--out is required (snapshot file to write)\n";
-    return 2;
-  }
+const Flag kSnapshot[] = {
+    {"out", "snapshot file to write", FIELD(out), {}, true},
+    {"from-itemsets", "saved itemsets to rebuild from", FIELD(from_itemsets)},
+};
 
+int run_snapshot(const Args& args, std::ostream& out, std::ostream& err) {
   core::RuleSnapshot snapshot;
-  if (const auto archive_path = args.get("from-itemsets");
-      archive_path.has_value()) {
+  if (!args.from_itemsets.empty()) {
+    if (!check_replay(args, "--from-itemsets", err)) return 2;
     // Re-generate rules over a saved family (`itemsets --save`, or any
     // snapshot); thresholds come from the flags, as in `mine --load`.
-    const auto rule_flags = parse_rule_flags(args);
-    if (!rule_flags.ok()) {
-      err << rule_flags.error().to_string() << "\n";
-      return 2;
-    }
-    if (!reject_unused(args, err)) return 2;
-    auto loaded = core::load_rule_snapshot_file(*archive_path);
-    if (!loaded.ok()) {
-      err << loaded.error().to_string() << "\n";
-      return 2;
-    }
+    auto loaded = core::load_rule_snapshot_file(args.from_itemsets);
+    if (!loaded.ok()) return fail(err, loaded.error(), 2);
     core::RuleSnapshot archive = std::move(loaded).value();
-    snapshot = core::build_rule_snapshot(
-        std::move(archive.result), std::move(archive.catalog),
-        rule_flags.value().rules, rule_flags.value().pruning);
+    const analysis::WorkflowConfig config = workflow_config(args);
+    snapshot = core::build_rule_snapshot(std::move(archive.result),
+                                         std::move(archive.catalog),
+                                         config.rules, config.pruning);
   } else {
-    auto flags = parse_trace_flags(args);
-    if (!flags.ok()) {
-      err << flags.error().to_string() << "\n";
-      return 2;
-    }
-    if (!reject_unused(args, err)) return 2;
-    auto loaded = read_trace(std::move(flags).value());
-    if (!loaded.ok()) {
-      err << loaded.error().to_string() << "\n";
-      return 2;
-    }
+    auto loaded = read_trace(args);
+    if (!loaded.ok()) return fail(err, loaded.error(), 2);
     LoadedTrace trace = std::move(loaded).value();
     const analysis::WorkflowConfig config = trace.config;
     auto mined = analysis::mine(std::move(trace.table), config);
@@ -999,65 +672,31 @@ int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
                                          config.rules, config.pruning);
   }
 
-  const auto saved = core::save_rule_snapshot_file(snapshot, out_path);
-  if (!saved.ok()) {
-    err << saved.error().to_string() << "\n";
-    return 1;
-  }
+  const auto saved = core::save_rule_snapshot_file(snapshot, args.out);
+  if (!saved.ok()) return fail(err, saved.error(), 1);
   out << "wrote snapshot: " << snapshot.catalog.size() << " items, "
       << snapshot.result.itemsets.size() << " itemsets, "
-      << snapshot.rules.size() << " rules to " << out_path << "\n";
+      << snapshot.rules.size() << " rules to " << args.out << "\n";
   return 0;
 }
 
-int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
-              std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string snapshot_path = args.get_or("snapshot", "");
-  const std::string host = args.get_or("host", "127.0.0.1");
-  const auto port = args.get_uint("port", 8080);
-  const auto threads = args.get_uint("threads", 4);
-  const bool check_only = args.has("check");
-  const std::string stats_json_path = args.get_or("stats-json", "");
-  const std::string metrics_out_path = args.get_or("metrics-out", "");
-  const auto slow_query_ms = args.get_double("slow-query-ms", 0.0);
-  if (!configure_logging(args, err)) return 2;
-  FlightDumpSession flight;
-  if (!flight.arm(args, err)) return 2;
-  TraceSession session(args, err);
-  if (!port.ok() || !threads.ok() || !slow_query_ms.ok()) {
-    err << (!port.ok()      ? port.error()
-            : !threads.ok() ? threads.error()
-                            : slow_query_ms.error())
-               .to_string()
-        << "\n";
-    return 2;
-  }
-  if (slow_query_ms.value() < 0.0) {
-    err << "--slow-query-ms must be >= 0\n";
-    return 2;
-  }
-  if (snapshot_path.empty()) {
-    err << "--snapshot is required (file from `gpumine snapshot`)\n";
-    return 2;
-  }
-  if (port.value() > 65535) {
-    err << "--port must be <= 65535\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
+const Flag kServe[] = {
+    {"snapshot", "snapshot file to serve", FIELD(snapshot), {}, true},
+    {"host", "numeric IPv4 address to listen on", FIELD(server.host)},
+    {"port", "listen port; 0 picks a free one", FIELD(port), Range{0, 65535}},
+    {"threads", "worker threads", FIELD(server.num_threads), Range{1, 256}},
+    {"check", "probe /healthz and /metrics, then exit", FIELD(check)},
+    {"slow-query-ms", "log the spans of a slower request; 0 is off",
+     FIELD(slow_query_ms), Range{0, 3'600'000}},
+};
+
+int run_serve(const Args& args, std::ostream& out, std::ostream& err) {
+  Observability observability(args, err);
+  if (!observability.start()) return 2;
 
   const auto build_begin = std::chrono::steady_clock::now();
-  auto snapshot = core::load_rule_snapshot_file(snapshot_path);
-  if (!snapshot.ok()) {
-    err << snapshot.error().to_string() << "\n";
-    return 1;
-  }
+  auto snapshot = core::load_rule_snapshot_file(args.snapshot);
+  if (!snapshot.ok()) return fail(err, snapshot.error(), 1);
   auto engine = std::make_shared<const serve::QueryEngine>(
       std::move(snapshot).value());
   const double build_seconds =
@@ -1069,27 +708,24 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
       << engine->num_keywords_with_rules() << " keywords with rules) in "
       << build_seconds << "s\n";
 
-  serve::RequestHandler handler(std::move(engine), snapshot_path);
-  if (slow_query_ms.value() > 0.0) {
+  serve::RequestHandler handler(std::move(engine), args.snapshot);
+  if (args.slow_query_ms > 0.0) {
     // The slow-query log reads the request's spans out of the thread's
     // ring, so the rings must be on for the subtree to exist.
     handler.set_slow_query_ns(
-        static_cast<std::uint64_t>(slow_query_ms.value() * 1e6));
+        static_cast<std::uint64_t>(args.slow_query_ms * 1e6));
     Tracer::instance().set_ring_recording(true);
   }
-  serve::ServerConfig config;
-  config.host = host;
-  config.port = static_cast<std::uint16_t>(port.value());
-  config.num_threads = static_cast<std::size_t>(threads.value());
+  serve::ServerConfig config = args.server;
+  config.port = static_cast<std::uint16_t>(args.port);
   serve::Server server(handler, config);
   const auto started = server.start();
-  if (!started.ok()) {
-    err << started.error().to_string() << "\n";
-    return 1;
-  }
+  if (!started.ok()) return fail(err, started.error(), 1);
+  const std::string& host = config.host;
   out << "serving on " << host << ':' << server.port() << " with "
       << config.num_threads << " threads\n";
-  if (check_only) {
+  std::optional<std::string> scraped;  // --check's /metrics document
+  if (args.check) {
     // Probe the live socket, so --check verifies the accept and reply
     // path as well as the handler (and a --trace session has request
     // spans to export): /healthz, then scrape /metrics and lint the
@@ -1111,79 +747,57 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
       return response.value().body;
     };
     const auto health = probe("/healthz", "health");
-    const auto metrics = health ? probe("/metrics", "metrics") : std::nullopt;
-    if (!metrics) {
-      server.stop();
-      return 1;
-    }
-    const auto lint = validate_prometheus_text(*metrics);
+    scraped = health ? probe("/metrics", "metrics") : std::nullopt;
+    if (!scraped) return 1;
+    const auto lint = validate_prometheus_text(*scraped);
     if (!lint.ok()) {
-      err << "metrics self-check failed: " << lint.error().to_string()
-          << "\n";
-      server.stop();
-      return 1;
+      return fail(err, lint.error(), 1, "metrics self-check failed");
     }
     out << "metrics check ok: " << lint.value() << " series\n";
-    server.stop();
-    if (!stats_json_path.empty() &&
-        !write_text_file(stats_json_path,
-                         handler.handle("GET", "/stats").body, err)) {
-      return 1;
+  } else {
+    g_serve_stop = 0;
+    std::signal(SIGINT, handle_serve_signal);
+    std::signal(SIGTERM, handle_serve_signal);
+    out.flush();
+    while (g_serve_stop == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    if (!metrics_out_path.empty() &&
-        !write_metrics_file(metrics_out_path, *metrics, out, err)) {
-      return 1;
-    }
-    return session.finish(out) ? 0 : 1;
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
   }
-
-  g_serve_stop = 0;
-  std::signal(SIGINT, handle_serve_signal);
-  std::signal(SIGTERM, handle_serve_signal);
-  out.flush();
-  while (g_serve_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
   server.stop();
-  if (!stats_json_path.empty() &&
-      !write_text_file(stats_json_path, handler.handle("GET", "/stats").body,
+  if (!args.stats_json.empty() &&
+      !write_text_file(args.stats_json, handler.handle("GET", "/stats").body,
                        err)) {
     return 1;
   }
-  if (!metrics_out_path.empty() &&
-      !write_metrics_file(metrics_out_path,
-                          handler.handle("GET", "/metrics").body, out, err)) {
+  if (!args.metrics_out.empty() &&
+      !write_metrics_file(args.metrics_out,
+                          scraped ? *scraped
+                                  : handler.handle("GET", "/metrics").body,
+                          out, err)) {
     return 1;
   }
-  out << "stopped\n";
-  return session.finish(out) ? 0 : 1;
+  if (!args.check) out << "stopped\n";
+  return observability.finish(out) ? 0 : 1;
 }
 
-int run_query(const std::vector<std::string>& args_raw, std::ostream& out,
-              std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string host = args.get_or("host", "127.0.0.1");
-  const auto port = args.get_uint("port", 8080);
-  const std::string keyword = args.get_or("keyword", "");
-  const std::string items = args.get_or("items", "");
-  const bool stats = args.has("stats");
-  const bool reload = args.has("reload");
-  const bool health = args.has("health");
-  TraceSession session(args, err);
-  if (!port.ok()) {
-    err << port.error().to_string() << "\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-  const int actions = (keyword.empty() ? 0 : 1) + (items.empty() ? 0 : 1) +
-                      (stats ? 1 : 0) + (reload ? 1 : 0) + (health ? 1 : 0);
+const Flag kQuery[] = {
+    {"host", "numeric IPv4 address of the server", FIELD(server.host)},
+    {"port", "port of the server", FIELD(port), Range{1, 65535}},
+    {"keyword", "print this item's pruned rules", FIELD(keyword)},
+    {"items", "print the joint support of these items", FIELD(items)},
+    {"stats", "print the server's stats", FIELD(stats)},
+    {"reload", "reload the server's snapshot", FIELD(reload)},
+    {"health", "check the server's health", FIELD(health)},
+};
+
+int run_query(const Args& args, std::ostream& out, std::ostream& err) {
+  Observability observability(args, err);
+  if (!observability.start()) return 2;
+  const int actions = (args.keyword.empty() ? 0 : 1) +
+                      (args.items.empty() ? 0 : 1) + (args.stats ? 1 : 0) +
+                      (args.reload ? 1 : 0) + (args.health ? 1 : 0);
   if (actions != 1) {
     err << "pick exactly one of --keyword ITEM, --items A,B, --stats, "
            "--reload, --health\n";
@@ -1192,20 +806,20 @@ int run_query(const std::vector<std::string>& args_raw, std::ostream& out,
 
   std::string method = "GET";
   std::string target;
-  if (!keyword.empty()) {
-    target = "/query?keyword=" + percent_encode(keyword);
-  } else if (!items.empty()) {
+  if (!args.keyword.empty()) {
+    target = "/query?keyword=" + percent_encode(args.keyword);
+  } else if (!args.items.empty()) {
     // Commas separate items server-side; encode each name around them.
     target = "/support?items=";
     bool first = true;
-    for (const std::string& name : split_list(items)) {
+    for (const std::string& name : args.items) {
       if (!first) target += ',';
       first = false;
       target += percent_encode(name);
     }
-  } else if (stats) {
+  } else if (args.stats) {
     target = "/stats";
-  } else if (reload) {
+  } else if (args.reload) {
     method = "POST";
     target = "/reload";
   } else {
@@ -1214,91 +828,106 @@ int run_query(const std::vector<std::string>& args_raw, std::ostream& out,
 
   const auto response = [&] {
     GPUMINE_SPAN("client/request");
-    return serve::http_request(host, static_cast<std::uint16_t>(port.value()),
-                               method, target);
+    return serve::http_request(args.server.host,
+                               static_cast<std::uint16_t>(args.port), method,
+                               target);
   }();
-  if (!response.ok()) {
-    err << response.error().to_string() << "\n";
-    return 1;
-  }
+  if (!response.ok()) return fail(err, response.error(), 1);
   out << response.value().body;
   if (response.value().body.empty() || response.value().body.back() != '\n') {
     out << "\n";
   }
-  if (!session.finish(out)) return 1;
+  if (!observability.finish(out)) return 1;
   return response.value().status >= 200 && response.value().status < 300 ? 0
                                                                          : 1;
 }
 
-int run_trace_check(const std::vector<std::string>& args_raw,
-                    std::ostream& out, std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string file = args.get_or("file", "");
-  if (file.empty()) {
-    err << "--file is required (a trace written by --trace)\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-  const auto checked = validate_chrome_trace_file(file);
-  if (!checked.ok()) {
-    err << "invalid trace: " << checked.error().to_string() << "\n";
-    return 1;
-  }
-  out << "ok: " << checked.value() << " well-formed spans in " << file
+const Flag kTraceCheck[] = {
+    {"file", "trace file or crash dump to validate", FIELD(file), {}, true},
+};
+
+int run_trace_check(const Args& args, std::ostream& out, std::ostream& err) {
+  const auto checked = validate_chrome_trace_file(args.file);
+  if (!checked.ok()) return fail(err, checked.error(), 1, "invalid trace");
+  out << "ok: " << checked.value() << " well-formed spans in " << args.file
       << "\n";
   return 0;
 }
 
-int run_metrics_check(const std::vector<std::string>& args_raw,
-                      std::ostream& out, std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string file = args.get_or("file", "");
-  if (file.empty()) {
-    err << "--file is required (an exposition file from --metrics-out)\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-  const auto checked = validate_prometheus_file(file);
-  if (!checked.ok()) {
-    err << "invalid metrics: " << checked.error().to_string() << "\n";
-    return 1;
-  }
-  out << "ok: " << checked.value() << " well-formed series in " << file
+const Flag kMetricsCheck[] = {
+    {"file", "Prometheus exposition file to lint", FIELD(file), {}, true},
+};
+
+int run_metrics_check(const Args& args, std::ostream& out,
+                      std::ostream& err) {
+  const auto checked = validate_prometheus_file(args.file);
+  if (!checked.ok()) return fail(err, checked.error(), 1, "invalid metrics");
+  out << "ok: " << checked.value() << " well-formed series in " << args.file
       << "\n";
   return 0;
 }
+
+#undef FIELD
+#undef VALIDATE
+
+const Command kCommands[] = {
+    {"synth", "write a seeded synthetic PAI, SuperCloud or Philly trace CSV",
+     {kSynth}, run_synth},
+    {"itemsets", "mine a trace CSV and list its most frequent itemsets",
+     {kCsv, kThreads, kItemsets, kStats}, run_itemsets},
+    {"mine", "print a keyword's pruned cause and characteristic rules",
+     {kKeyword, kCsv, kMine, kRule, kPrune, kThreads, kStats, kTrace, kObserve},
+     run_mine},
+    {"predict", "train a rule classifier for an item, test it on held-out jobs",
+     {kPredict, kCsv, kRule, kThreads}, run_predict},
+    {"report", "rank users or groups by wasted GPU hours or failures",
+     {kReport}, run_report},
+    {"digest", "summarize and certify a keyword's rules, list safe patterns",
+     {kKeyword, kCsv, kDigest, kRule, kPrune, kThreads}, run_digest},
+    {"compare", "compare a keyword's rules in two snapshots",
+     {kCompare, kKeyword, kRule}, run_compare},
+    {"snapshot", "write the rule snapshot that serve answers from",
+     {kSnapshot, kCsv, kRule, kPrune, kThreads}, run_snapshot},
+    {"serve", "answer rule queries from a snapshot over HTTP and lines",
+     {kServe, kTrace, kObserve}, run_serve},
+    {"query", "send one request to a running gpumine serve", {kQuery, kTrace},
+     run_query},
+    {"trace-check", "validate a trace file or a crash dump", {kTraceCheck},
+     run_trace_check},
+    {"metrics-check", "lint a Prometheus exposition file", {kMetricsCheck},
+     run_metrics_check},
+};
+
+}  // namespace
+
+std::span<const Command> command_table() { return kCommands; }
 
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err) {
-  if (args.empty() || args[0] == "help" || args[0] == "--help") {
-    return run_help(out);
+  const bool help = args.empty() || args[0] == "help" || args[0] == "--help";
+  if (help && args.size() < 2) {
+    out << "gpumine - interpretable GPU-cluster trace analysis via "
+           "association rule mining (gpumine help COMMAND: one table)\n";
+    for (const Command& command : kCommands) {
+      out << "\n";
+      print_help(command, out);
+    }
+    return 0;
   }
-  const std::string command = args[0];
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
-  if (command == "synth") return run_synth(rest, out, err);
-  if (command == "itemsets") return run_itemsets(rest, out, err);
-  if (command == "mine") return run_mine(rest, out, err);
-  if (command == "predict") return run_predict(rest, out, err);
-  if (command == "report") return run_report(rest, out, err);
-  if (command == "digest") return run_digest(rest, out, err);
-  if (command == "compare") return run_compare(rest, out, err);
-  if (command == "snapshot") return run_snapshot(rest, out, err);
-  if (command == "serve") return run_serve(rest, out, err);
-  if (command == "query") return run_query(rest, out, err);
-  if (command == "trace-check") return run_trace_check(rest, out, err);
-  if (command == "metrics-check") return run_metrics_check(rest, out, err);
-  err << "unknown command '" << command << "' (try: gpumine help)\n";
-  return 2;
+  const std::string& name = args[help ? 1 : 0];
+  const auto command = std::ranges::find(kCommands, name, &Command::name);
+  if (command == std::end(kCommands)) {
+    err << "unknown command '" << name << "' (try: gpumine help)\n";
+    return 2;
+  }
+  const std::vector<std::string> words(args.begin() + 1, args.end());
+  if (help || std::ranges::find(words, "--help") != words.end()) {
+    print_help(*command, out);
+    return 0;
+  }
+  const auto parsed = Args::parse(*command, words);
+  if (!parsed.ok()) return fail(err, parsed.error(), 2);
+  return command->run(parsed.value(), out, err);
 }
 
 }  // namespace gpumine::cli

@@ -477,7 +477,8 @@ namespace {
 
 constexpr std::size_t kLogLines = 128;
 // Longer lines are dropped and counted, never truncated into invalid JSON.
-constexpr std::size_t kLogLineBytes = 384;
+// A slow-query line with its span subtree runs to about 500 bytes.
+constexpr std::size_t kLogLineBytes = 1024;
 
 struct LogSlot {
   // 0 while (re)writing; the final byte length once published.

@@ -179,7 +179,7 @@ void disarm_crash_dump();
 [[nodiscard]] Result<bool> write_flight_dump(const std::string& path);
 
 /// Keeps one complete JSON log line for crash dumps (the last 128 are
-/// kept; a line longer than 384 bytes is counted as dropped instead).
+/// kept; a line longer than 1,024 bytes is counted as dropped instead).
 void record_log_line(std::string_view line);
 
 #if GPUMINE_TRACING

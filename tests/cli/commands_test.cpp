@@ -6,6 +6,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <variant>
 
 #include "common/log.hpp"
 #include "core/snapshot.hpp"
@@ -39,6 +40,137 @@ TEST(Cli, HelpOnNoArgsAndHelpCommand) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.code, 0);
     EXPECT_NE(result.out.find("usage:"), std::string::npos);
+  }
+}
+
+// `help COMMAND` and `COMMAND --help` print the same table: every row,
+// with its default and its declared bounds.
+TEST(Cli, HelpListsEveryRowOfEveryTable) {
+  const Args defaults;
+  for (const Command& command : command_table()) {
+    const std::string name(command.name);
+    const auto help = run_cli({"help", name});
+    ASSERT_EQ(help.code, 0) << name;
+    const auto flag_help = run_cli({name, "--help", "--no-such-flag"});
+    ASSERT_EQ(flag_help.code, 0) << name;
+    EXPECT_EQ(flag_help.out, help.out) << name;
+    for (const auto& group : command.flags) {
+      for (const Flag& flag : group) {
+        const std::string key = "\n  --" + std::string(flag.name);
+        const auto at = help.out.find(key);
+        ASSERT_NE(at, std::string::npos) << name << " " << key;
+        const std::string line =
+            help.out.substr(at + 1, help.out.find('\n', at + 1) - at - 1);
+        Args fields = defaults;
+        if (flag.required) {
+          EXPECT_NE(line.find("(required"), std::string::npos) << line;
+        } else if (const auto* count =
+                       std::get_if<CountField>(&flag.field)) {
+          EXPECT_NE(line.find("default " + std::to_string((*count)(fields))),
+                    std::string::npos)
+              << line;
+        } else if (std::holds_alternative<RealField>(flag.field)) {
+          EXPECT_NE(line.find("default "), std::string::npos) << line;
+        } else if (const auto* text =
+                       std::get_if<TextField>(&flag.field);
+                   text != nullptr && !(*text)(fields).empty()) {
+          EXPECT_NE(line.find("default " + (*text)(fields)), std::string::npos)
+              << line;
+        }
+        if (std::holds_alternative<Range>(flag.limit)) {
+          EXPECT_NE(line.find("range "), std::string::npos) << line;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(run_cli({"mine", "--help"}).out.find("is required"),
+            std::string::npos);
+}
+
+// A valued flag given no value is rejected, not silently dropped.
+TEST(Cli, ValuedFlagWithoutValueIsRejected) {
+  const auto trace = run_cli({"mine", "--csv", "/does/not/exist.csv",
+                              "--keyword", "Failed", "--trace"});
+  EXPECT_EQ(trace.code, 2);
+  EXPECT_EQ(trace.err.rfind("--trace: ", 0), 0u) << trace.err;
+  const auto stats_json = run_cli(
+      {"serve", "--snapshot", "/no/such.snap", "--check", "--stats-json"});
+  EXPECT_EQ(stats_json.code, 2);
+  EXPECT_EQ(stats_json.err.rfind("--stats-json: ", 0), 0u) << stats_json.err;
+}
+
+// A switch given a value is rejected, not left on.
+TEST(Cli, SwitchWithValueIsRejected) {
+  const auto check =
+      run_cli({"serve", "--snapshot", "/no/such.snap", "--check=no"});
+  EXPECT_EQ(check.code, 2);
+  EXPECT_EQ(check.err.rfind("--check: ", 0), 0u) << check.err;
+  const auto stats = run_cli({"mine", "--csv", "/does/not/exist.csv",
+                              "--keyword", "Failed", "--stats", "json"});
+  EXPECT_EQ(stats.code, 2);
+  EXPECT_EQ(stats.err.rfind("unexpected argument 'json'", 0), 0u)
+      << stats.err;
+}
+
+// An unquoted item name leaves stray words, which are rejected by name.
+TEST(Cli, StrayWordIsRejected) {
+  const auto result = run_cli({"mine", "--csv", "/does/not/exist.csv",
+                               "--keyword", "Status", "=", "Failed"});
+  EXPECT_EQ(result.code, 2);
+  EXPECT_EQ(result.err.rfind("unexpected argument '='", 0), 0u) << result.err;
+}
+
+// A repeated flag is rejected, not decided by its last value.
+TEST(Cli, RepeatedFlagIsRejected) {
+  const auto result =
+      run_cli({"mine", "--csv", "/does/not/exist.csv", "--keyword", "Failed",
+               "--min-lift", "9", "--min-lift", "1.5"});
+  EXPECT_EQ(result.code, 2);
+  EXPECT_EQ(result.err.rfind("--min-lift: ", 0), 0u) << result.err;
+}
+
+// NaN and infinity are rejected for a real flag, whatever its bounds.
+TEST(Cli, NonFiniteRealIsRejected) {
+  const auto holdout = run_cli({"predict", "--csv", "/does/not/exist.csv",
+                                "--target", "Failed", "--holdout", "nan"});
+  EXPECT_EQ(holdout.code, 2);
+  EXPECT_EQ(holdout.err.rfind("--holdout: ", 0), 0u) << holdout.err;
+  const auto slow = run_cli(
+      {"serve", "--snapshot", "/no/such.snap", "--slow-query-ms", "inf"});
+  EXPECT_EQ(slow.code, 2);
+  EXPECT_EQ(slow.err.rfind("--slow-query-ms: ", 0), 0u) << slow.err;
+}
+
+// `itemsets` generates no rules and `predict` does not prune, so the
+// rule and pruning flags they used to accept and ignore are unknown.
+TEST(Cli, FlagsThatDidNothingAreUnknown) {
+  const std::vector<std::pair<std::string, std::string>> dropped{
+      {"itemsets", "min-lift"}, {"itemsets", "c-lift"}, {"itemsets", "c-supp"},
+      {"predict", "c-lift"}, {"predict", "c-supp"}};
+  for (const auto& [command, flag] : dropped) {
+    const auto result = run_cli({command, "--" + flag, "2", "--csv",
+                                 "/does/not/exist.csv", "--target", "Failed"});
+    EXPECT_EQ(result.code, 2) << command << " --" << flag;
+    EXPECT_EQ(result.err, "unknown flag --" + flag + "\n");
+  }
+}
+
+// --load and --from-itemsets replay saved itemsets, so the trace/CSV
+// flags do not apply to them and are rejected before anything is read.
+TEST(Cli, CsvOnlyFlagsAreRejectedWithReplay) {
+  const std::vector<std::vector<std::string>> replays{
+      {"mine", "--load", "/no/such.snap", "--keyword", "Failed"},
+      {"snapshot", "--from-itemsets", "/no/such.snap", "--out",
+       temp_path("cli_replay.snap")}};
+  for (const auto& replay : replays) {
+    for (const std::string flag : {"csv", "min-support", "max-length", "bare",
+                                   "group", "drop", "categorical"}) {
+      auto args = replay;
+      args.insert(args.end(), {"--" + flag, "1"});
+      const auto result = run_cli(args);
+      EXPECT_EQ(result.code, 2) << replay[0] << " --" << flag;
+      EXPECT_EQ(result.err.rfind("--" + flag + ": ", 0), 0u) << result.err;
+    }
   }
 }
 

@@ -103,11 +103,17 @@ TEST_F(FlightTest, DumpCarriesRecentLogLines) {
   Logger::instance().set_level(LogLevel::kDebug);
   log_warn("flight", "something odd", {{"attempt", 3}});
   Logger::instance().reset_for_tests();
+  // As long as a /query slow-query line with its four spans.
+  const std::string slow_query_line =
+      "{\"msg\":\"" + std::string(466, 'q') + "\"}";
+  ASSERT_EQ(slow_query_line.size(), 476u);
+  record_log_line(slow_query_line);
   const std::string path = temp_path("flight_log_dump.json");
   ASSERT_TRUE(write_flight_dump(path).ok());
   const std::string text = slurp(path);
   EXPECT_NE(text.find("\"log\":["), std::string::npos);
   EXPECT_NE(text.find("something odd"), std::string::npos) << text;
+  EXPECT_NE(text.find(slow_query_line), std::string::npos) << text;
 }
 
 // The marker is stamped on the span clock, after the rings are read: it

@@ -43,6 +43,16 @@ The classes of rot this catches:
    count), or a ``layer/what`` literal assigned to an event's ``.name``
    (the crash dump's marker).
 
+6. Flag drift: the flag tables in src/cli/ (one row per flag, one
+   table per command, as ``const Flag kX[]`` arrays listed by
+   ``kCommands``) against the docs. Every (command, flag) pair must be
+   documented: in that command's row of the docs/API.md ``cli/`` table,
+   or on a ``gpumine COMMAND`` line of README.md. And every ``--flag``
+   the docs show on a ``gpumine COMMAND`` line of README.md or
+   docs/*.md (backslash continuations included; the line ends at a
+   closing backtick or a ``  #`` comment), or in a ``cli/`` table row,
+   must be in that command's table. ``--help`` is the driver's own.
+
 Exit code 0 when clean, 1 with one line per problem otherwise.
 """
 
@@ -252,6 +262,99 @@ def check_span_inventory(problems):
         )
 
 
+# A flag table (`const Flag kX[] = {...};`), a row's name within it, the
+# command table, and one command's entry in it.
+FLAG_TABLE = re.compile(r"const Flag (\w+)\[\] = \{(.*?)\};\n", re.S)
+FLAG_ROW = re.compile(r'\{"([a-z][a-z0-9-]*)",')
+COMMAND_TABLE = re.compile(r"const Command kCommands\[\] = \{(.*?)\n\};", re.S)
+COMMAND_ROW = re.compile(
+    r'\{"([a-z][a-z-]*)",\s*"(?:[^"\\]|\\.)*",\s*\{([^}]*)\}', re.S
+)
+FLAG_MENTION = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
+
+
+def flag_tables():
+    """Command name -> the set of flag names its table declares."""
+    groups, commands = {}, {}
+    for source in sorted((REPO / "src" / "cli").glob("*.cpp")):
+        text = source.read_text(encoding="utf-8")
+        for name, body in FLAG_TABLE.findall(text):
+            groups[name] = FLAG_ROW.findall(body)
+        for table in COMMAND_TABLE.findall(text):
+            for command, listed in COMMAND_ROW.findall(table):
+                commands[command] = {
+                    flag
+                    for group in re.findall(r"\w+", listed)
+                    for flag in groups.get(group, [])
+                }
+    return commands
+
+
+def command_lines(doc, commands):
+    """(line number, command, text) for each `gpumine COMMAND` mention:
+    the rest of its line up to a closing backtick or a shell comment,
+    plus backslash continuation lines."""
+    lines = doc.read_text(encoding="utf-8").split("\n")
+    mention = re.compile(r"gpumine (%s)(?![\w-])" % "|".join(
+        re.escape(c) for c in sorted(commands, key=len, reverse=True)))
+    for number, line in enumerate(lines, 1):
+        for match in mention.finditer(line):
+            text = re.split(r"`|  #", line[match.end():])[0]
+            follow = number
+            while text.rstrip().endswith("\\") and follow < len(lines):
+                text += re.split(r"`|  #", lines[follow])[0]
+                follow += 1
+            yield number, match.group(1), text
+
+
+def api_cli_rows(commands):
+    """(line number, command, text) for each row of the docs/API.md
+    `cli/` table."""
+    api = REPO / "docs" / "API.md"
+    text = api.read_text(encoding="utf-8") if api.is_file() else ""
+    section = re.search(r"^## cli/.*?(?=^## |\Z)", text, re.M | re.S)
+    if section is None:
+        return
+    first = text[: section.start()].count("\n") + 1
+    for offset, line in enumerate(section.group(0).split("\n")):
+        row = re.match(r"\| `([a-z-]+)` \|(.*)", line)
+        if row and row.group(1) in commands:
+            yield first + offset, row.group(1), row.group(2)
+
+
+def check_flags(docs, problems):
+    commands = flag_tables()
+    if not commands:
+        problems.append("src/cli: no flag tables found (kCommands)")
+        return
+    documented = set()
+    shown = []
+    for doc in docs:
+        for number, command, text in command_lines(doc, commands):
+            shown.append((doc.relative_to(REPO), number, command, text))
+            if doc.name == "README.md":
+                documented.update(
+                    (command, f) for f in FLAG_MENTION.findall(text))
+    for number, command, text in api_cli_rows(commands):
+        shown.append((pathlib.Path("docs/API.md"), number, command, text))
+        documented.update((command, f) for f in FLAG_MENTION.findall(text))
+    for where, number, command, text in shown:
+        for flag in FLAG_MENTION.findall(text):
+            if flag != "help" and flag not in commands[command]:
+                problems.append(
+                    f"{where}:{number}: shows `gpumine {command} --{flag}`, "
+                    f"but {command}'s flag table declares no --{flag}"
+                )
+    for command in sorted(commands):
+        for flag in sorted(commands[command]):
+            if (command, flag) not in documented:
+                problems.append(
+                    f"src/cli: {command} --{flag} is in the flag table but "
+                    "documented in neither its docs/API.md cli/ row nor a "
+                    f"README.md `gpumine {command}` line"
+                )
+
+
 def fixture_args(args, flag):
     """Paths given after each occurrence of `flag`."""
     return [
@@ -284,6 +387,7 @@ def main():
     check_stats_schema(stats, problems)
     check_metrics_families(metrics, problems)
     check_span_inventory(problems)
+    check_flags(docs, problems)
 
     for problem in problems:
         print(problem)
