@@ -69,13 +69,4 @@ std::string render_box(const BoxStats& stats, const std::string& label) {
          ")";
 }
 
-std::string render_cdf(const std::vector<std::pair<double, double>>& points,
-                       const std::string& x_label) {
-  std::string out = x_label + "\tP(X<=x)\n";
-  for (const auto& [x, p] : points) {
-    out += fmt(x) + "\t" + fmt(p, 3) + "\n";
-  }
-  return out;
-}
-
 }  // namespace gpumine::analysis

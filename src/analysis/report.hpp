@@ -1,6 +1,6 @@
 // Terminal rendering of analysis results in the paper's presentation
-// style: rule tables with "C"/"A" row labels, box-plot summaries
-// (Fig. 2), CDF tables (Fig. 4) and share breakdowns (Fig. 5).
+// style: rule tables with "C"/"A" row labels and box-plot summaries
+// (Fig. 2).
 #pragma once
 
 #include <string>
@@ -32,10 +32,5 @@ struct RuleTableOptions {
 /// "min q1 median q3 max" one-liner for Fig. 2-style summaries.
 [[nodiscard]] std::string render_box(const BoxStats& stats,
                                      const std::string& label);
-
-/// Two-column x / P(X<=x) table for Fig. 4-style CDFs.
-[[nodiscard]] std::string render_cdf(
-    const std::vector<std::pair<double, double>>& points,
-    const std::string& x_label);
 
 }  // namespace gpumine::analysis

@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/ensure.hpp"
 
 namespace gpumine::analysis {
-
-double quantile(std::span<const double> values, double q) {
-  GPUMINE_CHECK_ARG(!values.empty(), "quantile of empty data");
-  GPUMINE_CHECK_ARG(q >= 0.0 && q <= 1.0, "q must be in [0, 1]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = static_cast<std::size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
 
 BoxStats box_stats(std::span<const double> values) {
   GPUMINE_CHECK_ARG(!values.empty(), "box_stats of empty data");
@@ -32,27 +21,6 @@ BoxStats box_stats(std::span<const double> values) {
   };
   return BoxStats{sorted.front(), at(0.25), at(0.50), at(0.75), sorted.back(),
                   sorted.size()};
-}
-
-std::vector<std::pair<double, double>> cdf(std::span<const double> values,
-                                           std::size_t points) {
-  GPUMINE_CHECK_ARG(!values.empty(), "cdf of empty data");
-  GPUMINE_CHECK_ARG(points >= 2, "need at least 2 CDF points");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double lo = sorted.front();
-  const double hi = sorted.back();
-  std::vector<std::pair<double, double>> out;
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    const auto n = static_cast<std::size_t>(
-        std::upper_bound(sorted.begin(), sorted.end(), x) - sorted.begin());
-    out.emplace_back(x, static_cast<double>(n) /
-                            static_cast<double>(sorted.size()));
-  }
-  return out;
 }
 
 double cdf_at(std::span<const double> values, double x) {

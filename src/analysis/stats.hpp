@@ -1,15 +1,11 @@
 // Small descriptive-statistics toolkit backing the figure benches
-// (CDFs for Fig. 4, box stats for Fig. 2, shares for Fig. 5).
+// (CDF points for Fig. 4, box stats for Fig. 2).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace gpumine::analysis {
-
-/// Linear-interpolated quantile of unsorted data, q in [0, 1].
-[[nodiscard]] double quantile(std::span<const double> values, double q);
 
 /// Five-number summary for a box plot.
 struct BoxStats {
@@ -22,11 +18,6 @@ struct BoxStats {
 };
 
 [[nodiscard]] BoxStats box_stats(std::span<const double> values);
-
-/// Empirical CDF evaluated at `points` evenly spaced values of the data
-/// range (plus the exact min and max). Returns (x, P[X <= x]) pairs.
-[[nodiscard]] std::vector<std::pair<double, double>> cdf(
-    std::span<const double> values, std::size_t points = 32);
 
 /// Fraction of values <= x.
 [[nodiscard]] double cdf_at(std::span<const double> values, double x);

@@ -100,11 +100,6 @@ Result<bool> Logger::open_file(const std::string& path) {
   return true;
 }
 
-void Logger::use_stderr() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  file_ = {nullptr, std::fclose};
-}
-
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view message,
                  std::initializer_list<LogField> fields) {

@@ -100,15 +100,14 @@ class Logger {
 
   /// Redirects the sink from stderr to `path` (append mode).
   [[nodiscard]] Result<bool> open_file(const std::string& path);
-  /// Restores the stderr sink.
-  void use_stderr();
 
   void log(LogLevel level, std::string_view component,
            std::string_view message,
            std::initializer_list<LogField> fields = {});
 
-  /// Drops suppression state and restores level from the environment
-  /// (or the default). Test-only.
+  /// Flushes and closes a file sink, restores the stderr sink, drops
+  /// suppression state and restores the level from the environment (or
+  /// the default). Test-only.
   void reset_for_tests();
 
   Logger(const Logger&) = delete;

@@ -64,18 +64,4 @@ std::vector<FrequentItemset> maximal_itemsets(const MiningResult& mined) {
   return out;
 }
 
-std::uint64_t support_from_closed(const std::vector<FrequentItemset>& closed,
-                                  const Itemset& itemset) {
-  // supp(X) = max over closed supersets C ⊇ X of supp(C). (The smallest
-  // closed superset carries the true support; any other closed superset
-  // supports at most that, so the max is correct and simpler.)
-  std::uint64_t best = 0;
-  for (const auto& c : closed) {
-    if (c.items.size() >= itemset.size() && is_subset(itemset, c.items)) {
-      best = std::max(best, c.count);
-    }
-  }
-  return best;
-}
-
 }  // namespace gpumine::core

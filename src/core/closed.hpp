@@ -23,12 +23,4 @@ namespace gpumine::core {
 [[nodiscard]] std::vector<FrequentItemset> maximal_itemsets(
     const MiningResult& mined);
 
-/// Reconstructs the support of ANY itemset (frequent or not) from a
-/// closed-itemset family: the support of X is the support of the
-/// smallest closed superset of X, or 0 when no closed superset exists
-/// (then X is infrequent). This is the losslessness property tests rely
-/// on.
-[[nodiscard]] std::uint64_t support_from_closed(
-    const std::vector<FrequentItemset>& closed, const Itemset& itemset);
-
 }  // namespace gpumine::core

@@ -137,8 +137,4 @@ void sort_canonical(std::vector<FrequentItemset>& itemsets) {
             });
 }
 
-bool same_itemsets(const MiningResult& a, const MiningResult& b) {
-  return a.db_size == b.db_size && a.itemsets == b.itemsets;
-}
-
 }  // namespace gpumine::core

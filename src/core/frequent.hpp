@@ -166,9 +166,4 @@ struct MiningResult {
 /// mining result (length-major, then lexicographic by ids).
 void sort_canonical(std::vector<FrequentItemset>& itemsets);
 
-/// True when `a` and `b` list the same itemsets in the same order with
-/// the same counts over the same db_size; metrics are not compared. The
-/// equivalence tests all compare mining results through this.
-[[nodiscard]] bool same_itemsets(const MiningResult& a, const MiningResult& b);
-
 }  // namespace gpumine::core

@@ -15,16 +15,6 @@ ItemId ItemCatalog::intern(std::string_view name) {
   return id;
 }
 
-ItemId ItemCatalog::intern(std::string_view attribute, std::string_view value) {
-  GPUMINE_CHECK_ARG(!attribute.empty(), "attribute must be non-empty");
-  std::string name;
-  name.reserve(attribute.size() + value.size() + 3);
-  name.append(attribute);
-  name.append(" = ");
-  name.append(value);
-  return intern(name);
-}
-
 std::optional<ItemId> ItemCatalog::find(std::string_view name) const {
   auto it = index_.find(std::string(name));
   if (it == index_.end()) return std::nullopt;

@@ -24,10 +24,6 @@ class ItemCatalog {
   /// deterministic interning sequence.
   ItemId intern(std::string_view name);
 
-  /// Interns the conventional "attr = value" rendering used throughout
-  /// the paper's rule tables.
-  ItemId intern(std::string_view attribute, std::string_view value);
-
   /// Id of `name` if already interned.
   [[nodiscard]] std::optional<ItemId> find(std::string_view name) const;
 

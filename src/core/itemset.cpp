@@ -32,20 +32,6 @@ Itemset set_union(std::span<const ItemId> a, std::span<const ItemId> b) {
   return out;
 }
 
-Itemset set_intersect(std::span<const ItemId> a, std::span<const ItemId> b) {
-  Itemset out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-Itemset set_difference(std::span<const ItemId> a, std::span<const ItemId> b) {
-  Itemset out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
 bool disjoint(std::span<const ItemId> a, std::span<const ItemId> b) {
   auto ia = a.begin();
   auto ib = b.begin();
@@ -59,16 +45,6 @@ bool disjoint(std::span<const ItemId> a, std::span<const ItemId> b) {
     }
   }
   return true;
-}
-
-std::string debug_string(std::span<const ItemId> items) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(items[i]);
-  }
-  out += "}";
-  return out;
 }
 
 }  // namespace gpumine::core

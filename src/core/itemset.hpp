@@ -37,14 +37,6 @@ void canonicalize(Itemset& items);
 [[nodiscard]] Itemset set_union(std::span<const ItemId> a,
                                 std::span<const ItemId> b);
 
-/// Set intersection of two canonical itemsets; result is canonical.
-[[nodiscard]] Itemset set_intersect(std::span<const ItemId> a,
-                                    std::span<const ItemId> b);
-
-/// Elements of `a` not in `b`; both canonical, result canonical.
-[[nodiscard]] Itemset set_difference(std::span<const ItemId> a,
-                                     std::span<const ItemId> b);
-
 /// True iff the two canonical itemsets share no element.
 [[nodiscard]] bool disjoint(std::span<const ItemId> a,
                             std::span<const ItemId> b);
@@ -83,9 +75,5 @@ struct ItemsetEq {
     return (*this)(a, std::span<const ItemId>(b));
   }
 };
-
-/// Renders ids as "{3, 17, 42}" — debugging aid; user-facing rendering
-/// goes through ItemCatalog::render.
-[[nodiscard]] std::string debug_string(std::span<const ItemId> items);
 
 }  // namespace gpumine::core

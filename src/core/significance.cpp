@@ -7,6 +7,17 @@
 
 namespace gpumine::core {
 
+void ContingencyCounts::validate() const {
+  GPUMINE_CHECK_ARG(total > 0, "total must be positive");
+  GPUMINE_CHECK_ARG(antecedent <= total && consequent <= total,
+                    "marginals cannot exceed the total");
+  GPUMINE_CHECK_ARG(joint <= antecedent && joint <= consequent,
+                    "joint cannot exceed a marginal");
+  // Inclusion-exclusion: |X ∪ Y| = |X| + |Y| - |XY| must fit in |D|.
+  GPUMINE_CHECK_ARG(antecedent + consequent - joint <= total,
+                    "counts violate inclusion-exclusion");
+}
+
 double log_choose(std::uint64_t n, std::uint64_t k) {
   GPUMINE_CHECK_ARG(k <= n, "choose(n, k) needs k <= n");
   return std::lgamma(static_cast<double>(n) + 1.0) -

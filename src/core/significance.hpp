@@ -10,12 +10,23 @@
 // whole rule list.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "core/measures.hpp"
 #include "core/rules.hpp"
 
 namespace gpumine::core {
+
+/// A rule X => Y's 2x2 contingency table, as counts.
+struct ContingencyCounts {
+  std::uint64_t antecedent;  // sigma(X)
+  std::uint64_t consequent;  // sigma(Y)
+  std::uint64_t joint;       // sigma(X ∪ Y)
+  std::uint64_t total;       // |D|
+
+  /// Throws std::invalid_argument on inconsistent counts.
+  void validate() const;
+};
 
 /// One-sided Fisher exact p-value for over-representation: P[joint >=
 /// observed] under the hypergeometric null with the table's margins.

@@ -1,17 +1,12 @@
 // Read-only support lookup shared across the whole rule stage.
 //
 // Rule generation (Sec. III-B), keyword pruning (Sec. III-D), negative
-// rules, the measures.hpp contingency builders and the snapshot
-// loader's family checks all need the same sigma(X) lookups; this is
-// the one table that answers them. SupportIndex builds the table once
-// from a mining result and is immutable afterwards, so one instance can
-// back rule generation for any number of keywords — and can be read
-// concurrently by the rule-generation worker shards without locking.
-//
-// Anti-monotonicity guarantees every subset of a frequent itemset is
-// itself frequent, so the index treats a count() miss as a logic error;
-// find() is the forgiving variant for itemsets that may be below the
-// floor.
+// rules and the snapshot loader's family checks all need the same
+// sigma(X) lookups; this is the one table that answers them.
+// SupportIndex builds the table once from a mining result and is
+// immutable afterwards, so one instance can back rule generation for any
+// number of keywords — and can be read concurrently by the
+// rule-generation worker shards without locking.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +15,12 @@
 
 #include "core/frequent.hpp"
 #include "core/itemset.hpp"
-#include "core/measures.hpp"
 
 namespace gpumine::core {
 
 class SupportIndex {
  public:
-  /// Empty index over an empty database; count() throws on any lookup.
+  /// Empty index over an empty database; find() misses every lookup.
   SupportIndex() = default;
 
   /// Indexes every itemset of `mined` (linear in output size).
@@ -40,20 +34,6 @@ class SupportIndex {
   /// among the mined frequent itemsets.
   [[nodiscard]] std::optional<std::uint64_t> find(
       std::span<const ItemId> items) const;
-
-  /// Support count of a canonical mined itemset. Throws
-  /// std::logic_error on a miss.
-  [[nodiscard]] std::uint64_t count(std::span<const ItemId> items) const;
-
-  /// supp(items) = sigma(items) / |D|; 0 for an empty database.
-  [[nodiscard]] double support(std::span<const ItemId> items) const;
-
-  /// Contingency counts for a rule X => Y (canonical, disjoint, both
-  /// frequent) ready for measures.hpp: sigma(X), sigma(Y), sigma(XY),
-  /// |D|. The joint lookup takes the union internally.
-  [[nodiscard]] ContingencyCounts contingency(
-      std::span<const ItemId> antecedent,
-      std::span<const ItemId> consequent) const;
 
  private:
   SupportMap map_;

@@ -51,15 +51,6 @@ TransactionDb TransactionDb::dedup() const {
   return out;
 }
 
-std::uint64_t TransactionDb::support_count(
-    std::span<const ItemId> itemset) const {
-  std::uint64_t count = 0;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (is_subset(itemset, (*this)[i])) count += weight(i);
-  }
-  return count;
-}
-
 std::vector<std::uint64_t> TransactionDb::item_counts() const {
   std::vector<std::uint64_t> counts(item_id_bound_, 0);
   if (weights_.empty()) {

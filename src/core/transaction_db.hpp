@@ -69,14 +69,6 @@ class TransactionDb {
   /// of the insert/scan work.
   [[nodiscard]] TransactionDb dedup() const;
 
-  /// sigma(X): total weight of transactions containing `itemset`. A
-  /// deliberate linear scan — this is the reference oracle the mining
-  /// algorithms (and the SupportIndex fast path) are validated against
-  /// in tests, so it must stay independent of every indexed code path.
-  /// Not used on any hot path; production lookups go through
-  /// core::SupportIndex.
-  [[nodiscard]] std::uint64_t support_count(std::span<const ItemId> itemset) const;
-
   /// Per-item weighted support counts, indexed by ItemId
   /// (size item_id_bound()).
   [[nodiscard]] std::vector<std::uint64_t> item_counts() const;

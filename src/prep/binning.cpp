@@ -60,19 +60,6 @@ void BinningParams::validate() const {
   GPUMINE_CHECK_ARG(!bin_prefix.empty(), "bin_prefix must be non-empty");
 }
 
-std::optional<std::string> BinSpec::label_for(double v) const {
-  if (std::isnan(v)) return std::nullopt;
-  if (has_zero_bin && v == 0.0) return zero_label;
-  if (spike_value.has_value() && v == *spike_value) return spike_label;
-  if (labels.empty()) return std::nullopt;  // nothing left after specials
-  // First interval whose interior edge exceeds v; the last bin absorbs
-  // everything above the top edge (closed upper end).
-  std::size_t bin = static_cast<std::size_t>(
-      std::upper_bound(edges.begin(), edges.end(), v) - edges.begin());
-  if (bin >= labels.size()) bin = labels.size() - 1;
-  return labels[bin];
-}
-
 std::size_t BinSpec::num_bins() const {
   return labels.size() + (has_zero_bin ? 1u : 0u) +
          (spike_value.has_value() ? 1u : 0u);
@@ -186,10 +173,10 @@ BinSpec fit_bins(std::span<const double> values, const BinningParams& params) {
 }
 
 CategoricalColumn apply_bins(const NumericColumn& column, const BinSpec& spec) {
-  // Same classification as label_for, but each label is interned once
-  // at its first occurrence (preserving the dictionary order a per-row
-  // push would produce) and subsequent rows append the cached code —
-  // no per-row string materialization or hashing.
+  // Each label is interned once at its first occurrence (preserving the
+  // dictionary order a per-row push would produce) and subsequent rows
+  // append the cached code — no per-row string materialization or
+  // hashing.
   CategoricalColumn out;
   constexpr std::int32_t kUnseen = -2;
   // Slots: 0 = zero bin, 1 = spike bin, 2+i = interval bin i.

@@ -43,7 +43,7 @@ struct BinningParams {
   void validate() const;
 };
 
-/// A fitted discretization: apply with `label_for`.
+/// A fitted discretization: apply with `apply_bins`.
 struct BinSpec {
   bool has_zero_bin = false;
   std::optional<double> spike_value;  // exact match -> spike label
@@ -52,11 +52,6 @@ struct BinSpec {
   std::vector<std::string> labels;
   std::string zero_label;
   std::string spike_label;
-
-  /// Label for a value; nullopt for NaN (missing). Intervals are
-  /// left-closed, right-open except the last (closed), matching the
-  /// paper's quartile convention.
-  [[nodiscard]] std::optional<std::string> label_for(double v) const;
 
   /// Total number of distinct labels this spec can emit.
   [[nodiscard]] std::size_t num_bins() const;

@@ -37,13 +37,6 @@ std::int32_t CategoricalColumn::intern(std::string_view label) {
   return code;
 }
 
-std::optional<std::int32_t> CategoricalColumn::find(
-    std::string_view label) const {
-  auto it = index_.find(std::string(label));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
-}
-
 const std::string& CategoricalColumn::label(std::size_t row) const {
   const std::int32_t code = codes_[row];
   GPUMINE_CHECK_ARG(code != kMissing, "label() on missing row");
@@ -93,10 +86,6 @@ std::size_t Table::index_of(std::string_view name) const {
 }
 
 const Column& Table::column(std::string_view name) const {
-  return columns_[index_of(name)];
-}
-
-Column& Table::column(std::string_view name) {
   return columns_[index_of(name)];
 }
 

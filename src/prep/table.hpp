@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -42,8 +41,6 @@ class CategoricalColumn {
 
   /// Code for `label`, interning it if new.
   std::int32_t intern(std::string_view label);
-  /// Code for `label` if present.
-  [[nodiscard]] std::optional<std::int32_t> find(std::string_view label) const;
 
   [[nodiscard]] std::size_t size() const { return codes_.size(); }
   [[nodiscard]] std::int32_t code(std::size_t row) const { return codes_[row]; }
@@ -81,7 +78,6 @@ class Table {
   }
 
   [[nodiscard]] const Column& column(std::string_view name) const;
-  [[nodiscard]] Column& column(std::string_view name);
   [[nodiscard]] const NumericColumn& numeric(std::string_view name) const;
   [[nodiscard]] const CategoricalColumn& categorical(std::string_view name) const;
   [[nodiscard]] bool is_numeric(std::string_view name) const;

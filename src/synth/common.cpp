@@ -52,15 +52,6 @@ std::string PrincipalPool::draw(trace::Rng& rng, double w_heavy,
   }
 }
 
-double zero_sm_fraction(const std::vector<trace::JobRecord>& records) {
-  if (records.empty()) return 0.0;
-  std::size_t zero = 0;
-  for (const auto& r : records) {
-    if (r.sm_util != trace::kUnset && r.sm_util < 0.5) ++zero;
-  }
-  return static_cast<double>(zero) / static_cast<double>(records.size());
-}
-
 double status_fraction(const std::vector<trace::JobRecord>& records,
                        trace::ExitStatus status) {
   if (records.empty()) return 0.0;

@@ -58,10 +58,6 @@ class PrincipalPool {
   std::size_t num_rare_;
 };
 
-/// Fraction of `records` with sm_util rounded-to-zero — the headline
-/// statistic of Fig. 4 used by calibration tests.
-[[nodiscard]] double zero_sm_fraction(const std::vector<trace::JobRecord>& records);
-
 /// Fraction with a given exit status (Fig. 5).
 [[nodiscard]] double status_fraction(const std::vector<trace::JobRecord>& records,
                                      trace::ExitStatus status);

@@ -94,6 +94,21 @@ TEST(JsonEscape, AllClasses) {
   EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(json_escape("ünïcode"), "ünïcode");  // bytes pass through
+  // Well-formed 2-, 3- and 4-byte sequences, up to U+10FFFF, pass
+  // through unchanged.
+  EXPECT_EQ(json_escape("\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80"),
+            "\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80");
+  EXPECT_EQ(json_escape("\xf4\x8f\xbf\xbf"), "\xf4\x8f\xbf\xbf");
+  // Each byte outside a well-formed sequence becomes U+FFFD: 0xFF, a lone
+  // continuation byte, an overlong NUL, a surrogate, a code point above
+  // U+10FFFF and a sequence cut short by the end of the input.
+  const std::string bad = "\\ufffd";
+  EXPECT_EQ(json_escape("a\xffz"), "a" + bad + "z");
+  EXPECT_EQ(json_escape("\x80"), bad);
+  EXPECT_EQ(json_escape("\xc0\x80"), bad + bad);
+  EXPECT_EQ(json_escape("\xed\xa0\x80"), bad + bad + bad);
+  EXPECT_EQ(json_escape("\xf4\x90\x80\x80"), bad + bad + bad + bad);
+  EXPECT_EQ(json_escape("x\xe2\x82"), "x" + bad + bad);
 }
 
 TEST(ExportMarkdown, PaperTableLayout) {

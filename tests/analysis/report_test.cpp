@@ -72,14 +72,5 @@ TEST(RenderBox, Format) {
             "lift: min=1.00 q1=2.00 median=3.00 q3=4.00 max=5.00 (n=42)");
 }
 
-TEST(RenderCdf, TabSeparatedRows) {
-  const std::vector<std::pair<double, double>> points{{0.0, 0.46},
-                                                      {50.0, 0.80}};
-  const std::string out = render_cdf(points, "SM Util");
-  EXPECT_NE(out.find("SM Util\tP(X<=x)"), std::string::npos);
-  EXPECT_NE(out.find("0.00\t0.460"), std::string::npos);
-  EXPECT_NE(out.find("50.00\t0.800"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace gpumine::analysis

@@ -2,34 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace gpumine::analysis {
 namespace {
-
-TEST(Quantile, InterpolatesLinearly) {
-  const std::vector<double> v{10, 20, 30, 40};  // unsorted input also fine
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 25.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 17.5);
-}
-
-TEST(Quantile, UnsortedInputHandled) {
-  const std::vector<double> v{30, 10, 40, 20};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 25.0);
-}
-
-TEST(Quantile, SingleValue) {
-  const std::vector<double> v{7.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.7), 7.0);
-}
-
-TEST(Quantile, Validation) {
-  EXPECT_THROW((void)quantile(std::vector<double>{}, 0.5),
-               std::invalid_argument);
-  EXPECT_THROW((void)quantile(std::vector<double>{1.0}, 1.5),
-               std::invalid_argument);
-}
 
 TEST(BoxStats, FiveNumberSummary) {
   std::vector<double> v;
@@ -43,27 +19,6 @@ TEST(BoxStats, FiveNumberSummary) {
   EXPECT_EQ(b.count, 101u);
 }
 
-TEST(Cdf, MonotoneFromZeroishToOne) {
-  std::vector<double> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(i % 100);
-  const auto points = cdf(v, 16);
-  ASSERT_EQ(points.size(), 16u);
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].second, points[i - 1].second);
-    EXPECT_GE(points[i].first, points[i - 1].first);
-  }
-}
-
-TEST(Cdf, MassAtZeroVisible) {
-  // 46% zeros (the Fig. 4 situation): the first CDF point must already
-  // sit at ~0.46.
-  std::vector<double> v(46, 0.0);
-  for (int i = 0; i < 54; ++i) v.push_back(1.0 + i);
-  const auto points = cdf(v, 8);
-  EXPECT_NEAR(points.front().second, 0.46, 1e-9);
-}
-
 TEST(CdfAt, CountsInclusive) {
   const std::vector<double> v{1, 2, 2, 3};
   EXPECT_DOUBLE_EQ(cdf_at(v, 0.5), 0.0);
@@ -72,8 +27,6 @@ TEST(CdfAt, CountsInclusive) {
 }
 
 TEST(CdfValidation, Errors) {
-  EXPECT_THROW((void)cdf(std::vector<double>{}, 8), std::invalid_argument);
-  EXPECT_THROW((void)cdf(std::vector<double>{1.0}, 1), std::invalid_argument);
   EXPECT_THROW((void)cdf_at(std::vector<double>{}, 0.0),
                std::invalid_argument);
 }

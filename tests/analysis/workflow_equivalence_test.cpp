@@ -9,6 +9,7 @@
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
 #include "oracle/apriori.hpp"
+#include "oracle/itemsets.hpp"
 #include "synth/philly.hpp"
 
 namespace gpumine::analysis {

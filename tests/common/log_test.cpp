@@ -26,7 +26,7 @@ class LogTest : public ::testing::Test {
   void TearDown() override { Logger::instance().reset_for_tests(); }
 
   std::vector<std::string> lines() const {
-    Logger::instance().use_stderr();  // flush + close the file sink
+    Logger::instance().reset_for_tests();  // flush + close the file sink
     std::ifstream file(path_);
     std::vector<std::string> out;
     std::string line;

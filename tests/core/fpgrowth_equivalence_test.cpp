@@ -13,6 +13,7 @@
 #include "analysis/workflow.hpp"
 #include "core/fpgrowth.hpp"
 #include "oracle/apriori.hpp"
+#include "oracle/itemsets.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
 #include "synth/supercloud.hpp"

@@ -4,6 +4,7 @@
 
 #include "core/support_index.hpp"
 #include "mining_test_util.hpp"
+#include "oracle/itemsets.hpp"
 
 namespace gpumine::core {
 namespace {

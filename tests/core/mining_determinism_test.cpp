@@ -12,6 +12,7 @@
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
 #include "core/fpgrowth.hpp"
+#include "oracle/itemsets.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
 

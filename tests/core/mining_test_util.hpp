@@ -10,6 +10,7 @@
 
 #include "core/frequent.hpp"
 #include "core/transaction_db.hpp"
+#include "oracle/itemsets.hpp"
 #include "trace/rng.hpp"
 
 namespace gpumine::core::testutil {
@@ -47,7 +48,7 @@ inline std::vector<FrequentItemset> brute_force(const TransactionDb& db,
                    candidates.end());
   std::vector<FrequentItemset> out;
   for (auto& c : candidates) {
-    const std::uint64_t count = db.support_count(c);
+    const std::uint64_t count = support_count(db, c);
     if (count >= min_count) out.push_back({std::move(c), count});
   }
   sort_canonical(out);

@@ -6,6 +6,7 @@
 
 #include "core/fpgrowth.hpp"
 #include "mining_test_util.hpp"
+#include "oracle/itemsets.hpp"
 
 namespace gpumine::core {
 namespace {
@@ -116,9 +117,9 @@ TEST(GenerateRules, MetricsAgreeWithScanOracle) {
   const double n = static_cast<double>(db.size());
   for (const Rule& r : rules) {
     const auto joint = static_cast<double>(
-        db.support_count(set_union(r.antecedent, r.consequent)));
-    const auto sx = static_cast<double>(db.support_count(r.antecedent));
-    const auto sy = static_cast<double>(db.support_count(r.consequent));
+        support_count(db, set_union(r.antecedent, r.consequent)));
+    const auto sx = static_cast<double>(support_count(db, r.antecedent));
+    const auto sy = static_cast<double>(support_count(db, r.consequent));
     EXPECT_NEAR(r.support, joint / n, 1e-12);
     EXPECT_NEAR(r.confidence, joint / sx, 1e-12);
     EXPECT_NEAR(r.lift, (joint / sx) / (sy / n), 1e-9);

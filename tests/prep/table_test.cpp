@@ -35,8 +35,9 @@ TEST(CategoricalColumn, InternAndLookup) {
 TEST(CategoricalColumn, FindAndPushCode) {
   CategoricalColumn col;
   const auto code = col.intern("x");
-  EXPECT_EQ(col.find("x"), code);
-  EXPECT_FALSE(col.find("y").has_value());
+  EXPECT_EQ(col.intern("x"), code);
+  EXPECT_EQ(col.label_of_code(code), "x");
+  EXPECT_EQ(col.num_labels(), 1u);
   col.push_code(code);
   col.push_code(CategoricalColumn::kMissing);
   EXPECT_THROW(col.push_code(42), std::invalid_argument);
@@ -51,8 +52,8 @@ TEST(CategoricalColumn, ValueCountsSkipMissing) {
   col.push_missing();
   const auto counts = col.value_counts();
   ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(*col.find("a"))], 2u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(*col.find("b"))], 1u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(col.intern("a"))], 2u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(col.intern("b"))], 1u);
 }
 
 TEST(Table, AddAndAccessColumns) {

@@ -57,6 +57,11 @@ TEST(RequestHandler, QueryErrors) {
   EXPECT_EQ(handler.handle("GET", "/query?keyword=").status, 400);
   EXPECT_EQ(handler.handle("GET", "/query?keyword=NoSuchItem").status, 404);
   EXPECT_EQ(handler.handle("GET", "/nope").status, 404);
+  // A keyword that is not UTF-8 is echoed with U+FFFD in place of the
+  // bad byte, so the error body stays valid JSON.
+  const HttpResponse bad = handler.handle("GET", "/query?keyword=ab%FFcd");
+  EXPECT_EQ(bad.status, 404);
+  EXPECT_EQ(bad.body, "{\"error\":\"keyword 'ab\\ufffdcd' is not an item\"}");
 }
 
 TEST(RequestHandler, SupportEndpoint) {
@@ -275,8 +280,7 @@ TEST(RequestHandler, SlowQueryLogCarriesTheRequestSpans) {
   Tracer::instance().set_ring_recording(true);
   const HttpResponse response = handler.handle("GET", "/query?keyword=Failed");
   Tracer::instance().set_ring_recording(false);
-  Logger::instance().use_stderr();  // flush + close the file sink
-  Logger::instance().reset_for_tests();
+  Logger::instance().reset_for_tests();  // flush + close the file sink
   EXPECT_EQ(response.status, 200);
 
   std::ifstream file(path);

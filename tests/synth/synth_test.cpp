@@ -5,6 +5,7 @@
 // *shape*, not exact percentages.
 #include <gtest/gtest.h>
 
+#include "oracle/synth.hpp"
 #include "synth/common.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
