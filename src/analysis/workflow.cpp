@@ -50,19 +50,13 @@ PreparedTrace prepare(prep::Table table, const WorkflowConfig& config) {
   }
     std::vector<std::pair<prep::BinSpec, prep::CategoricalColumn>> fitted(
         todo.size());
-    const auto fit_one = [&](std::size_t i) {
+    parallel_for(config.prep_threads, todo.size(), [&](std::size_t i) {
       GPUMINE_SPAN("prep/bin_column");
       const prep::NumericColumn& col = table.numeric(todo[i]->column);
       prep::BinSpec spec = prep::fit_bins(col.values, todo[i]->params);
       prep::CategoricalColumn binned = prep::apply_bins(col, spec);
       fitted[i] = {std::move(spec), std::move(binned)};
-    };
-    if (config.prep_threads != 1 && todo.size() > 1) {
-      ThreadPool pool(config.prep_threads);
-      pool.parallel_for(todo.size(), fit_one);
-    } else {
-      for (std::size_t i = 0; i < todo.size(); ++i) fit_one(i);
-    }
+    });
     for (std::size_t i = 0; i < todo.size(); ++i) {
       table.replace_column(todo[i]->column, std::move(fitted[i].second));
       out.bin_specs.emplace_back(todo[i]->column, std::move(fitted[i].first));
@@ -79,9 +73,8 @@ PreparedTrace prepare(prep::Table table, const WorkflowConfig& config) {
   out.prep_metrics.binning_seconds = seconds_since(binning_begin);
 
   const auto encode_begin = std::chrono::steady_clock::now();
-  prep::EncoderParams encoder = config.encoder;
-  if (encoder.num_threads == 1) encoder.num_threads = config.prep_threads;
-  prep::EncodeResult encoded = prep::encode(table, encoder);
+  prep::EncodeResult encoded =
+      prep::encode(table, config.encoder, config.prep_threads);
   out.prep_metrics.encode_seconds = seconds_since(encode_begin);
   out.db = std::move(encoded.db);
   out.catalog = std::move(encoded.catalog);
@@ -100,10 +93,7 @@ MinedTrace mine(prep::Table table, const WorkflowConfig& config) {
   // full row-per-job view for downstream consumers (summaries,
   // classifiers, validation scans).
   const auto dedup_begin = std::chrono::steady_clock::now();
-  const core::TransactionDb deduped = [&] {
-    GPUMINE_SPAN("prep/dedup");
-    return out.prepared.db.dedup();
-  }();
+  const core::TransactionDb deduped = out.prepared.db.dedup();
   pm.dedup_seconds = seconds_since(dedup_begin);
   pm.distinct_transactions = deduped.size();
   pm.dedup_ratio = deduped.empty()

@@ -57,8 +57,7 @@ struct WorkflowConfig {
   core::PruneParams pruning{};       // C_lift = C_supp = 1.5
   core::Algorithm algorithm = core::Algorithm::kFpGrowth;
   /// Worker threads for the preprocessing stages (per-column binning,
-  /// encoder passes). 1 = serial; propagated into encoder.num_threads
-  /// unless that was set explicitly.
+  /// encoder passes). 1 = serial, 0 = hardware concurrency.
   std::size_t prep_threads = 1;
 };
 

@@ -30,7 +30,7 @@ namespace gpumine {
 /// Allocation counters for one ArenaPool, snapshot via metrics().
 struct ArenaPoolMetrics {
   std::uint64_t bytes_allocated = 0;  // fresh block bytes drawn from malloc
-  std::uint64_t bytes_reused = 0;     // reserved bytes re-served from recycled arenas
+  std::uint64_t bytes_reused = 0;     // bytes served from blocks already held
   std::uint64_t arenas_created = 0;   // arenas built from scratch
   std::uint64_t arenas_reused = 0;    // acquisitions served from the free list
   std::size_t peak_bytes = 0;         // total reserved footprint across the pool
@@ -56,6 +56,7 @@ class Arena {
       if (aligned + bytes <= block.size) {
         offset_ = aligned + bytes;
         used_ += bytes;
+        if (active_ < retained_blocks_) reused_bytes_ += bytes;
         return block.data.get() + aligned;
       }
       ++active_;
@@ -87,6 +88,7 @@ class Arena {
     active_ = 0;
     offset_ = 0;
     used_ = 0;
+    retained_blocks_ = blocks_.size();
   }
 
   /// Total capacity of the retained blocks.
@@ -98,6 +100,12 @@ class Arena {
   /// into its counters when the arena is returned.
   [[nodiscard]] std::uint64_t take_fresh_bytes() {
     return std::exchange(fresh_bytes_, std::uint64_t{0});
+  }
+
+  /// Bytes handed out from blocks held at the last reset(), since the
+  /// last call; drained like take_fresh_bytes().
+  [[nodiscard]] std::uint64_t take_reused_bytes() {
+    return std::exchange(reused_bytes_, std::uint64_t{0});
   }
 
  private:
@@ -115,7 +123,9 @@ class Arena {
   std::size_t offset_ = 0;  // bump offset within the active block
   std::size_t used_ = 0;
   std::size_t reserved_ = 0;
+  std::size_t retained_blocks_ = 0;  // blocks held at the last reset()
   std::uint64_t fresh_bytes_ = 0;
+  std::uint64_t reused_bytes_ = 0;
   std::size_t next_block_bytes_;
 };
 
@@ -178,7 +188,6 @@ class ArenaPool {
         arena = std::move(free_.back());
         free_.pop_back();
         ++metrics_.arenas_reused;
-        metrics_.bytes_reused += arena->bytes_reserved();
       } else {
         ++metrics_.arenas_created;
       }
@@ -202,6 +211,7 @@ class ArenaPool {
   void give_back(std::unique_ptr<Arena> arena) {
     std::lock_guard lock(mutex_);
     metrics_.bytes_allocated += arena->take_fresh_bytes();
+    metrics_.bytes_reused += arena->take_reused_bytes();
     metrics_.peak_bytes =
         std::max(metrics_.peak_bytes,
                  static_cast<std::size_t>(metrics_.bytes_allocated));

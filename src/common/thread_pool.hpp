@@ -1,6 +1,15 @@
-// Work-stealing thread pool behind every multi-threaded stage (CSV
-// chunks, binning, encoding, FP-Growth, rule generation) and the
+// Work-stealing thread pool behind every multi-threaded stage and the
 // server's connection workers.
+//
+// The compute stages (CSV chunks, binning, encoding, FP-Growth, rule
+// generation and the query engine's build) all run on
+// ThreadPool::shared(width): one pool per width, started on first use and
+// kept until the process exits. A command asks for one width, so it runs
+// one compute pool, and no stage pays for starting or joining threads.
+// The free parallel_for(width, n, fn) runs inline at width 1 and on that
+// shared pool otherwise. serve::Server builds a pool of its own, because
+// its workers block in recv() and compute tasks must never queue behind
+// them.
 //
 // Each worker owns a Chase–Lev-style deque (owner pushes and pops at the
 // bottom, LIFO; thieves take from the top, FIFO), guarded by a per-deque
@@ -17,13 +26,18 @@
 // spawns and waits on subtasks, arbitrarily deep) deadlock-free even on a
 // one-worker pool. Exceptions thrown by subtasks are captured; wait()
 // rethrows the first one only after every task in the group has finished,
-// so no captured reference can dangle.
+// so no captured reference can dangle. A task counts as finished only
+// after its worker has destroyed its captures and recorded its span and
+// busy time: the pool outlives every group, so once wait() returns it
+// must hold nothing more of the group.
 //
 // The pool keeps lightweight counters (tasks spawned/stolen, per-worker
-// busy time, peak deque length) exposed via metrics(); the miners fold
-// them into core::MiningMetrics for `gpumine mine --stats`.
+// busy time, peak deque length). take_metrics() reads and zeroes them, so
+// a miner that calls it before and after its run reports that run alone,
+// on a pool that earlier stages and runs used too.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,6 +47,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -44,7 +59,7 @@
 
 namespace gpumine {
 
-/// Snapshot of the pool's scheduling counters since construction.
+/// The pool's scheduling counters since the last take_metrics().
 struct SchedulerMetrics {
   std::uint64_t tasks_spawned = 0;
   std::uint64_t tasks_stolen = 0;   // executed by a thread that did not enqueue them
@@ -52,15 +67,27 @@ struct SchedulerMetrics {
   std::vector<double> worker_busy_seconds;  // task execution time per worker
 };
 
+/// `width`, with 0 read as std::thread::hardware_concurrency() (at least 1).
+[[nodiscard]] inline std::size_t pool_width(std::size_t width) {
+  if (width != 0) return width;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+/// How many pieces to cut `n` items into for parallel_for at `width`: one
+/// at width 1, otherwise four per worker, so stealing can even out pieces
+/// of uneven cost. Never more than `n`, never 0.
+[[nodiscard]] inline std::size_t parallel_chunks(std::size_t width,
+                                                 std::size_t n) {
+  width = pool_width(width);
+  return std::max<std::size_t>(1, std::min(n, width == 1 ? 1 : width * 4));
+}
+
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects std::thread::hardware_concurrency()
-  /// (minimum 1). The pool starts immediately and joins in the destructor.
+  /// `num_threads == 0` selects pool_width(0). The pool starts immediately
+  /// and joins in the destructor.
   explicit ThreadPool(std::size_t num_threads = 0) {
-    if (num_threads == 0) {
-      num_threads = std::thread::hardware_concurrency();
-      if (num_threads == 0) num_threads = 1;
-    }
+    num_threads = pool_width(num_threads);
     queues_.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i) {
       queues_.push_back(std::make_unique<WorkerQueue>());
@@ -70,6 +97,20 @@ class ThreadPool {
     for (std::size_t i = 0; i < num_threads; ++i) {
       workers_.emplace_back([this, i] { worker_loop(i); });
     }
+  }
+
+  /// The process's compute pool of pool_width(width) workers: started by
+  /// the first call for that width and never destroyed, so no exit-time
+  /// join runs after statics its workers use (the tracer) are gone.
+  static ThreadPool& shared(std::size_t width) {
+    struct Registry {
+      std::mutex mutex;
+      std::map<std::size_t, ThreadPool> pools;
+    };
+    static Registry* const registry = new Registry;
+    width = pool_width(width);
+    const std::lock_guard lock(registry->mutex);
+    return registry->pools.try_emplace(width, width).first->second;
   }
 
   ThreadPool(const ThreadPool&) = delete;
@@ -105,14 +146,15 @@ class ThreadPool {
       // inside the copyable std::function the deques store.
       auto owned = std::make_shared<std::decay_t<F>>(std::forward<F>(fn));
       pending_.fetch_add(1, std::memory_order_acq_rel);
-      pool_.push_task([this, owned] {
-        try {
-          (*owned)();
-        } catch (...) {
-          note_exception(std::current_exception());
-        }
-        pending_.fetch_sub(1, std::memory_order_acq_rel);
-      });
+      pool_.push_task(
+          [this, owned] {
+            try {
+              (*owned)();
+            } catch (...) {
+              note_exception(std::current_exception());
+            }
+          },
+          this);
     }
 
     /// Records an exception to be rethrown by wait(); first one wins.
@@ -133,6 +175,8 @@ class ThreadPool {
     }
 
    private:
+    friend class ThreadPool;
+
     void help_until_done() {
       int idle_spins = 0;
       while (pending_.load(std::memory_order_acquire) > 0) {
@@ -187,23 +231,30 @@ class ThreadPool {
     group.wait();
   }
 
-  [[nodiscard]] SchedulerMetrics metrics() const {
+  /// Reads the counters and zeroes them.
+  [[nodiscard]] SchedulerMetrics take_metrics() {
     SchedulerMetrics out;
-    out.tasks_spawned = tasks_spawned_.load(std::memory_order_relaxed);
-    out.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
-    out.peak_queue_length = peak_queue_.load(std::memory_order_relaxed);
+    out.tasks_spawned = tasks_spawned_.exchange(0, std::memory_order_relaxed);
+    out.tasks_stolen = tasks_stolen_.exchange(0, std::memory_order_relaxed);
+    out.peak_queue_length = peak_queue_.exchange(0, std::memory_order_relaxed);
     out.worker_busy_seconds.reserve(busy_ns_.size());
-    for (const auto& ns : busy_ns_) {
+    for (auto& ns : busy_ns_) {
       out.worker_busy_seconds.push_back(
-          static_cast<double>(ns.load(std::memory_order_relaxed)) * 1e-9);
+          static_cast<double>(ns.exchange(0, std::memory_order_relaxed)) *
+          1e-9);
     }
     return out;
   }
 
  private:
+  struct Task {
+    std::function<void()> fn;
+    TaskGroup* group = nullptr;  // told once fn and its accounting are done
+  };
+
   struct WorkerQueue {
     std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
+    std::deque<Task> tasks;
   };
 
   // Which pool (if any) the current thread is a worker of, and its index.
@@ -223,7 +274,7 @@ class ThreadPool {
     return slot.pool == this ? slot.index : kNotWorker;
   }
 
-  void push_task(std::function<void()> task) {
+  void push_task(std::function<void()> fn, TaskGroup* group = nullptr) {
     tasks_spawned_.fetch_add(1, std::memory_order_relaxed);
     std::size_t target = current_worker_index();
     if (target == kNotWorker) {
@@ -236,7 +287,7 @@ class ThreadPool {
     std::size_t depth = 0;
     {
       std::lock_guard lock(q.mutex);
-      q.tasks.push_back(std::move(task));
+      q.tasks.push_back({std::move(fn), group});
       depth = q.tasks.size();
     }
     update_peak(depth);
@@ -258,7 +309,7 @@ class ThreadPool {
   // Takes one task: own deque bottom first (LIFO keeps the working set
   // hot), then steal from the top of victims in randomized order. Sets
   // `stolen` when the task came from another worker's deque.
-  [[nodiscard]] std::function<void()> try_acquire(bool& stolen) {
+  [[nodiscard]] Task try_acquire(bool& stolen) {
     stolen = false;
     const std::size_t self = current_worker_index();
     if (self != kNotWorker) {
@@ -305,26 +356,33 @@ class ThreadPool {
   // Returns false if no task was available anywhere.
   bool run_one_task() {
     bool stolen = false;
-    auto task = try_acquire(stolen);
-    if (!task) return false;
-    Span span(stolen ? "pool/task_stolen" : "pool/task");
-    // Only the outermost task on a worker is timed: tasks executed while
-    // helping inside a nested wait() are already inside the outer span.
-    static thread_local int timing_depth = 0;
-    const std::size_t self = current_worker_index();
-    if (self != kNotWorker && timing_depth == 0) {
-      ++timing_depth;
-      const auto begin = std::chrono::steady_clock::now();
-      task();
-      const auto end = std::chrono::steady_clock::now();
-      --timing_depth;
-      busy_ns_[self].fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-                  .count()),
-          std::memory_order_relaxed);
-    } else {
-      task();
+    Task task = try_acquire(stolen);
+    if (!task.fn) return false;
+    {
+      Span span(stolen ? "pool/task_stolen" : "pool/task");
+      // Only the outermost task on a worker is timed: tasks executed while
+      // helping inside a nested wait() are already inside the outer span.
+      static thread_local int timing_depth = 0;
+      const std::size_t self = current_worker_index();
+      if (self != kNotWorker && timing_depth == 0) {
+        ++timing_depth;
+        const auto begin = std::chrono::steady_clock::now();
+        task.fn();
+        const auto busy = std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - begin);
+        --timing_depth;
+        busy_ns_[self].fetch_add(static_cast<std::uint64_t>(busy.count()),
+                                 std::memory_order_relaxed);
+      } else {
+        task.fn();
+      }
+    }
+    // Drop the task's captures (a mining task owns its FP-tree, whose
+    // arena goes back to the run's ArenaPool) before its group can see
+    // it finished and free what they point into.
+    task.fn = nullptr;
+    if (task.group != nullptr) {
+      task.group->pending_.fetch_sub(1, std::memory_order_acq_rel);
     }
     return true;
   }
@@ -361,5 +419,16 @@ class ThreadPool {
   std::atomic<std::uint64_t> tasks_stolen_{0};
   std::atomic<std::size_t> peak_queue_{0};
 };
+
+/// Runs `fn(i)` for i in [0, n): inline, in index order, at width 1, and
+/// otherwise on ThreadPool::shared(width) (0 = hardware concurrency).
+template <typename F>
+void parallel_for(std::size_t width, std::size_t n, F&& fn) {
+  if (width == 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool::shared(width).parallel_for(n, std::forward<F>(fn));
+}
 
 }  // namespace gpumine

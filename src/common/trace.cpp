@@ -50,11 +50,13 @@ struct RingSlot {
 struct ThreadBuffer {
   // Registry fields: `next` is set before the buffer is published and
   // never changes, so readers walk the list without a lock; the others
-  // are guarded by the registry mutex (`tid` is atomic for the dump).
+  // are guarded by the registry mutex (`generation` and `tid` are atomic
+  // for lock-free readers). Readers skip a buffer whose generation is not
+  // the tracer's: it holds spans from before the latest reset().
   ThreadBuffer* next = nullptr;
   ThreadBuffer* next_free = nullptr;
   bool owned = false;
-  std::uint64_t generation = 0;
+  std::atomic<std::uint64_t> generation{0};
   std::atomic<std::uint32_t> tid{0};
 
   // Trace store. `count` is the publication point; the chunk directory
@@ -106,8 +108,8 @@ struct ThreadBuffer {
   }
 
   void drain_into(std::vector<TraceEvent>& out) const {
-    const std::uint64_t n = count.load(std::memory_order_acquire);
     const std::lock_guard<std::mutex> lock(chunk_mutex);
+    const std::uint64_t n = count.load(std::memory_order_acquire);
     for (std::uint64_t i = 0; i < n; ++i) {
       out.push_back(chunks[i / kChunkEvents][i % kChunkEvents]);
     }
@@ -137,7 +139,8 @@ struct ThreadBuffer {
     }
   }
 
-  /// Empties both stores; reset() calls this with no span in flight.
+  /// Empties both stores. Only a buffer's owner, or the registry holding
+  /// its mutex for a buffer no thread owns, calls this: no record races it.
   void clear() {
     const std::lock_guard<std::mutex> lock(chunk_mutex);
     count.store(0, std::memory_order_relaxed);
@@ -157,17 +160,20 @@ struct Registry {
   std::mutex mutex;  // registration, hand-back and reset()
   std::atomic<ThreadBuffer*> head{nullptr};
   ThreadBuffer* free_head = nullptr;  // buffers waiting for a new thread
-  std::atomic<std::uint64_t> generation{1};  // bumped by reset()
   std::atomic<std::uint32_t> next_tid{0};
 };
 static_assert(std::is_trivially_destructible_v<Registry>);
 Registry g_registry;
 
+bool current(const ThreadBuffer& buffer) {
+  return buffer.generation.load(std::memory_order_acquire) ==
+         Tracer::instance().generation();
+}
+
 // The calling thread's buffer, handed to the next new thread when this
 // one exits.
 struct ThreadSlot {
   ThreadBuffer* buffer = nullptr;
-  std::uint64_t generation = 0;
 
   ThreadSlot() = default;
   ThreadSlot(const ThreadSlot&) = delete;
@@ -176,6 +182,7 @@ struct ThreadSlot {
     if (buffer == nullptr) return;
     const std::lock_guard<std::mutex> lock(g_registry.mutex);
     buffer->owned = false;
+    if (!current(*buffer)) buffer->clear();
     // A buffer that still holds trace events keeps them, and its tid, to
     // itself until reset() empties it.
     if (buffer->count.load(std::memory_order_relaxed) == 0) {
@@ -191,13 +198,12 @@ ThreadSlot& thread_slot() {
 }
 
 // The one span registration: a thread takes a handed-back buffer, or a
-// new one, on its first record, and a fresh tid on its first record after
-// each reset().
-ThreadBuffer& buffer_for_this_thread() {
+// new one, on its first record, and on its first record after each
+// reset() empties its buffer and takes a fresh tid.
+ThreadBuffer& buffer_for_this_thread(std::uint64_t generation) {
   ThreadSlot& slot = thread_slot();
   if (slot.buffer != nullptr &&
-      slot.generation ==
-          g_registry.generation.load(std::memory_order_relaxed)) {
+      slot.buffer->generation.load(std::memory_order_relaxed) == generation) {
     return *slot.buffer;
   }
   const std::lock_guard<std::mutex> lock(g_registry.mutex);
@@ -214,15 +220,13 @@ ThreadBuffer& buffer_for_this_thread() {
     buffer->owner_first = buffer->ring_count.load(std::memory_order_relaxed);
     slot.buffer = buffer;
   }
-  const std::uint64_t generation =
-      g_registry.generation.load(std::memory_order_relaxed);
-  if (slot.buffer->generation != generation) {
-    slot.buffer->generation = generation;
+  if (slot.buffer->generation.load(std::memory_order_relaxed) != generation) {
+    slot.buffer->clear();
     slot.buffer->tid.store(
         g_registry.next_tid.fetch_add(1, std::memory_order_relaxed),
         std::memory_order_relaxed);
+    slot.buffer->generation.store(generation, std::memory_order_release);
   }
-  slot.generation = generation;
   return *slot.buffer;
 }
 
@@ -330,25 +334,30 @@ void Tracer::set_ring_recording(bool on) {
 
 void Tracer::reset() {
   const std::lock_guard<std::mutex> lock(g_registry.mutex);
+  // Owned buffers are left to their threads, which may be recording.
   g_registry.free_head = nullptr;
   for (ThreadBuffer* b = g_registry.head.load(std::memory_order_relaxed);
        b != nullptr; b = b->next) {
-    b->clear();
     if (!b->owned) {
+      b->clear();
       b->next_free = g_registry.free_head;
       g_registry.free_head = b;
     }
   }
   g_registry.next_tid.store(0, std::memory_order_relaxed);
-  g_registry.generation.fetch_add(1, std::memory_order_relaxed);
+  // The epoch moves first: a span that sees the new generation also sees
+  // the new epoch.
   epoch_ns_.store(monotonic_ns(), std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
 }
 
 void Tracer::record(const char* name, std::uint64_t start_ns,
-                    std::uint64_t duration_ns, std::uint32_t depth) {
+                    std::uint64_t duration_ns, std::uint32_t depth,
+                    std::uint64_t generation) {
   const std::uint32_t sinks = sinks_.load(std::memory_order_relaxed);
   if (sinks == 0) return;
-  ThreadBuffer& buffer = buffer_for_this_thread();
+  ThreadBuffer& buffer = buffer_for_this_thread(this->generation());
+  if (buffer.generation.load(std::memory_order_relaxed) != generation) return;
   if ((sinks & kSinkRing) != 0) {
     buffer.record_ring(name, start_ns, duration_ns, depth);
   }
@@ -361,7 +370,7 @@ std::vector<TraceEvent> Tracer::collect() const {
   std::vector<TraceEvent> events;
   for (const ThreadBuffer* b = g_registry.head.load(std::memory_order_acquire);
        b != nullptr; b = b->next) {
-    b->drain_into(events);
+    if (current(*b)) b->drain_into(events);
   }
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
@@ -376,11 +385,7 @@ std::vector<TraceEvent> Tracer::thread_spans_since(
     std::uint64_t since_ns) const {
   std::vector<TraceEvent> spans;
   const ThreadSlot& slot = thread_slot();
-  if (slot.buffer == nullptr ||
-      slot.generation !=
-          g_registry.generation.load(std::memory_order_relaxed)) {
-    return spans;
-  }
+  if (slot.buffer == nullptr || !current(*slot.buffer)) return spans;
   slot.buffer->visit_ring(slot.buffer->owner_first,
                           [&](const TraceEvent& ev) {
                             if (ev.start_ns >= since_ns) spans.push_back(ev);
@@ -503,7 +508,9 @@ void write_dump(int fd, int sig) {
   out.append(",\"traceEvents\":[");
   for (const ThreadBuffer* b = g_registry.head.load(std::memory_order_acquire);
        b != nullptr; b = b->next) {
-    b->visit_ring(0, [&out](const TraceEvent& ev) { out.event(ev); });
+    if (current(*b)) {
+      b->visit_ring(0, [&out](const TraceEvent& ev) { out.event(ev); });
+    }
   }
   // A zero-length marker, stamped after the rings were read so that no
   // span in the dump ends after it, on a tid of its own. It also keeps

@@ -14,8 +14,8 @@
 //   * the ring (set_ring_recording()): the thread's last kRingSpans spans,
 //     for crash dumps (`--flight-dump`) and the slow-query log.
 // Buffers are never freed. A thread that exits hands its buffer to the
-// next new thread once the buffer holds no trace events, so thread churn
-// (an engine pool per reload) neither grows memory nor drops spans.
+// next new thread once the buffer holds no trace events, so threads that
+// come and go neither grow memory nor drop spans.
 //
 // The process-wide Tracer is off by default; a disabled Span costs one
 // relaxed atomic load and a branch. Defining GPUMINE_TRACING=0 compiles
@@ -72,11 +72,8 @@ struct SpanSummary {
 
 /// Process-wide trace collector. A thread's buffer registers on its
 /// first record; recording is wait-free for the owning thread apart from
-/// one cold mutex per chunk. enable()/reset() must not race with
-/// in-flight spans (the CLI enables before the pipeline runs and exports
-/// after it finishes; the server enables at startup and exports at
-/// shutdown) — collect()/summarize() may run concurrently with recording
-/// and see every event published before the call.
+/// one cold mutex per chunk. collect()/summarize() may run concurrently
+/// with recording and see every event published before the call.
 class Tracer {
  public:
   /// Spans each thread's ring keeps.
@@ -102,18 +99,28 @@ class Tracer {
     return sinks_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Empties every buffer in place, restarts thread ids at 0 and moves
-  /// the epoch to now. Requires quiescence: no spans in flight.
+  /// Drops every recorded span, restarts thread ids at 0 and moves the
+  /// epoch to now. Spans may be in flight on any thread, such as a parked
+  /// pool worker's `pool/idle`: one that began before the latest reset()
+  /// records nothing. A live thread's buffer is emptied by that thread on
+  /// its next record; until then readers skip it.
   void reset();
+
+  /// Bumped by every reset(); a Span keeps the one it began in.
+  [[nodiscard]] std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
   /// Nanoseconds since the tracer epoch. Async-signal-safe.
   [[nodiscard]] std::uint64_t now_ns() const {
     return monotonic_ns() - epoch_ns_.load(std::memory_order_relaxed);
   }
 
-  /// Records one completed event on the calling thread's buffer.
+  /// Records one completed event on the calling thread's buffer, unless
+  /// a reset() came after `generation` (the span's start).
   void record(const char* name, std::uint64_t start_ns,
-              std::uint64_t duration_ns, std::uint32_t depth);
+              std::uint64_t duration_ns, std::uint32_t depth,
+              std::uint64_t generation);
 
   /// Snapshot of the trace store, sorted by (tid, start, -duration) so
   /// parents precede their children deterministically.
@@ -150,6 +157,7 @@ class Tracer {
 
   std::atomic<std::uint32_t> sinks_{0};
   std::atomic<std::uint64_t> epoch_ns_;
+  std::atomic<std::uint64_t> generation_{1};
 };
 
 /// Validates a Chrome trace-event file written by the exporter: the
@@ -192,6 +200,9 @@ class Span {
     Tracer& tracer = Tracer::instance();
     if (tracer.active()) {
       name_ = name;
+      // Read before the clock: a generation that reset() has bumped comes
+      // with the epoch it moved.
+      generation_ = tracer.generation();
       start_ns_ = tracer.now_ns();
       depth_ = depth_counter()++;
     }
@@ -201,7 +212,8 @@ class Span {
     if (name_ != nullptr) {
       Tracer& tracer = Tracer::instance();
       --depth_counter();
-      tracer.record(name_, start_ns_, tracer.now_ns() - start_ns_, depth_);
+      tracer.record(name_, start_ns_, tracer.now_ns() - start_ns_, depth_,
+                    generation_);
     }
   }
 
@@ -215,6 +227,7 @@ class Span {
   }
 
   const char* name_ = nullptr;  // null => tracer was disabled at entry
+  std::uint64_t generation_ = 0;
   std::uint64_t start_ns_ = 0;
   std::uint32_t depth_ = 0;
 };

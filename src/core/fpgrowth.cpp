@@ -478,15 +478,14 @@ MiningResult mine_fpgrowth(const TransactionDb& db, const MiningParams& params) 
       }
     };
 
-    // Small inputs fall back to the serial path: below the work-size
-    // cutoff, pool startup and task overhead exceed the mining itself.
-    const bool go_parallel = params.num_threads != 1 && n >= 2 &&
-                             enc.items.size() >= params.serial_cutoff_items;
-    if (!go_parallel) {
+    if (params.num_threads == 1 || n < 2) {
       mine_all_ranks(result.itemsets);
       result.metrics.num_workers = 1;
     } else {
-      ThreadPool pool(params.num_threads);
+      ThreadPool& pool = ThreadPool::shared(params.num_threads);
+      // The pool outlives this run: zero its counters so the metrics
+      // below count this run's tasks alone.
+      (void)pool.take_metrics();
       ThreadPool::TaskGroup group(pool);
       shared.group = &group;
       std::vector<FrequentItemset> local;  // calling thread's buffer
@@ -494,7 +493,7 @@ MiningResult mine_fpgrowth(const TransactionDb& db, const MiningParams& params) 
       group.wait();
       shared.flush(local);
       result.metrics.num_workers = pool.size();
-      const SchedulerMetrics sched = pool.metrics();
+      const SchedulerMetrics sched = pool.take_metrics();
       result.metrics.tasks_spawned = sched.tasks_spawned;
       result.metrics.tasks_stolen = sched.tasks_stolen;
       result.metrics.peak_queue_length = sched.peak_queue_length;

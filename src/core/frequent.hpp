@@ -31,14 +31,6 @@ struct MiningParams {
   /// expose more parallelism, higher values cut task overhead. Ignored
   /// when num_threads == 1.
   std::size_t spawn_cutoff_nodes = 256;
-  /// Work-size floor for going parallel at all: when the rank-encoded
-  /// database holds fewer item occurrences than this, FP-Growth mines
-  /// serially even if num_threads > 1 — on inputs this small, pool
-  /// startup and task overhead cost more than the mining (parallel
-  /// mining once measured *slower* than serial on a small synthetic
-  /// database). 0 disables the fallback (tests use this to force the
-  /// parallel path on small fixtures).
-  std::size_t serial_cutoff_items = 131072;
 
   /// Converts the fractional threshold into an absolute count over a
   /// database of total weight `db_size`: the smallest count c with

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <iterator>
 #include <limits>
-#include <thread>
 
 #include "common/ensure.hpp"
 #include "common/thread_pool.hpp"
@@ -106,68 +105,43 @@ std::vector<Rule> generate_rules(const MiningResult& mined,
   GPUMINE_SPAN("rules/generate");
   params.validate();
   const auto begin = std::chrono::steady_clock::now();
-  std::size_t threads = params.num_threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
+  const std::size_t width = pool_width(params.num_threads);
 
+  // Contiguous shards, several per worker: itemsets are sorted by length,
+  // so the expensive 2^k enumerations cluster at the tail — over-
+  // decomposition lets the work-stealing pool rebalance them.
+  const std::size_t num_shards =
+      mined.db_size > 0 ? parallel_chunks(width, mined.itemsets.size()) : 0;
+  std::vector<ShardResult> shards(num_shards);
+  parallel_for(width, num_shards, [&](std::size_t s) {
+    GPUMINE_SPAN("rules/shard");
+    const std::size_t lo = mined.itemsets.size() * s / num_shards;
+    const std::size_t hi = mined.itemsets.size() * (s + 1) / num_shards;
+    Itemset antecedent;
+    Itemset consequent;
+    for (std::size_t i = lo; i < hi; ++i) {
+      enumerate_itemset(mined.itemsets[i], index, params, mined.db_size,
+                        antecedent, consequent, shards[s]);
+    }
+  });
   std::vector<Rule> rules;
   std::uint64_t itemsets_considered = 0;
   std::uint64_t candidates = 0;
-  if (mined.db_size > 0 && !mined.itemsets.empty()) {
-    // Small inputs fall back to the serial path: below the work-size
-    // cutoff, pool startup exceeds the enumeration itself. Metrics then
-    // report the width actually used (1), not the one requested.
-    if (mined.itemsets.size() < params.serial_cutoff_itemsets ||
-        threads <= 1 || mined.itemsets.size() < 2) {
-      threads = 1;
-      ShardResult shard;
-      Itemset antecedent;
-      Itemset consequent;
-      for (const auto& fi : mined.itemsets) {
-        enumerate_itemset(fi, index, params, mined.db_size, antecedent,
-                          consequent, shard);
-      }
-      rules = std::move(shard.rules);
-      itemsets_considered = shard.itemsets_considered;
-      candidates = shard.candidate_rules;
-    } else {
-      // Contiguous shards, several per worker: itemsets are sorted by
-      // length, so the expensive 2^k enumerations cluster at the tail —
-      // over-decomposition lets the work-stealing pool rebalance them.
-      const std::size_t num_shards =
-          std::min(mined.itemsets.size(), threads * 4);
-      std::vector<ShardResult> shards(num_shards);
-      ThreadPool pool(threads);
-      pool.parallel_for(num_shards, [&](std::size_t s) {
-        GPUMINE_SPAN("rules/shard");
-        const std::size_t lo = mined.itemsets.size() * s / num_shards;
-        const std::size_t hi = mined.itemsets.size() * (s + 1) / num_shards;
-        Itemset antecedent;
-        Itemset consequent;
-        for (std::size_t i = lo; i < hi; ++i) {
-          enumerate_itemset(mined.itemsets[i], index, params, mined.db_size,
-                            antecedent, consequent, shards[s]);
-        }
-      });
-      std::size_t total = 0;
-      for (const ShardResult& s : shards) total += s.rules.size();
-      rules.reserve(total);
-      for (ShardResult& s : shards) {
-        itemsets_considered += s.itemsets_considered;
-        candidates += s.candidate_rules;
-        std::move(s.rules.begin(), s.rules.end(), std::back_inserter(rules));
-      }
-    }
+  std::size_t total = 0;
+  for (const ShardResult& s : shards) total += s.rules.size();
+  rules.reserve(total);
+  for (ShardResult& s : shards) {
+    itemsets_considered += s.itemsets_considered;
+    candidates += s.candidate_rules;
+    std::move(s.rules.begin(), s.rules.end(), std::back_inserter(rules));
   }
   // sort_rules is a total order (ties broken by the unique
   // antecedent/consequent pair), so the merged output is byte-identical
-  // to the serial path for any shard decomposition.
+  // for any shard decomposition.
   sort_rules(rules);
 
   if (metrics != nullptr) {
-    metrics->num_threads = threads;
+    metrics->num_threads = width;
     metrics->itemsets_considered = itemsets_considered;
     metrics->candidate_rules = candidates;
     metrics->rules_generated = rules.size();

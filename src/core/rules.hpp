@@ -42,16 +42,9 @@ struct RuleParams {
   /// Worker threads for rule generation: the frequent itemsets are
   /// sharded across the work-stealing pool, each shard enumerates into
   /// its own buffer, and the merged output is re-sorted — byte-identical
-  /// to the serial path for any thread count. 0 = hardware concurrency,
-  /// 1 = sequential (no pool is created).
+  /// for any thread count. 0 = hardware concurrency, 1 = one shard on the
+  /// calling thread.
   std::size_t num_threads = 1;
-  /// Work-size floor for going parallel at all: with fewer frequent
-  /// itemsets than this, rules are generated serially even when
-  /// num_threads > 1 — pool startup dwarfs the enumeration on small
-  /// inputs (sharded generation once ran at 0.94x of serial on 1.4k
-  /// rules). 0 disables the fallback (tests use this to force the
-  /// sharded path on small fixtures).
-  std::size_t serial_cutoff_itemsets = 4096;
 
   void validate() const;
 };

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/ensure.hpp"
+#include "common/trace.hpp"
 
 namespace gpumine::core {
 
@@ -32,6 +33,7 @@ void TransactionDb::add(Itemset transaction, std::uint64_t weight) {
 }
 
 TransactionDb TransactionDb::dedup() const {
+  GPUMINE_SPAN("prep/dedup");
   TransactionDb out;
   std::unordered_map<Itemset, std::size_t, ItemsetHash, ItemsetEq> row_index;
   row_index.reserve(size());

@@ -12,7 +12,6 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -275,33 +274,20 @@ Result<Table> read_csv_text(std::string_view text, const CsvParams& params,
     return Error{std::string(context) + ":1", "duplicate column name"};
   }
 
-  std::size_t threads = params.num_threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-
   // Body records, chunked: each chunk splits fields into its own
   // per-column cell buffers; chunks concatenate in order, so the final
   // cells are identical to a single serial pass.
   const std::size_t num_records = records.size() - 1;
   const std::size_t num_chunks =
-      std::max<std::size_t>(1, std::min(num_records, threads * 4));
+      parallel_chunks(params.num_threads, num_records);
   std::vector<ParsedChunk> chunks(num_chunks);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  const auto parse_one = [&](std::size_t i) {
+  parallel_for(params.num_threads, num_chunks, [&](std::size_t i) {
     GPUMINE_SPAN("prep/csv_chunk");
     const std::size_t lo = 1 + num_records * i / num_chunks;
     const std::size_t hi = 1 + num_records * (i + 1) / num_chunks;
     chunks[i] = parse_chunk(text, records, lo, hi, header.size(),
                             params.delimiter, context);
-  };
-  if (pool) {
-    pool->parallel_for(num_chunks, parse_one);
-  } else {
-    for (std::size_t i = 0; i < num_chunks; ++i) parse_one(i);
-  }
+  });
 
   // Earliest failing record wins — exactly the error the serial reader
   // would have stopped on (chunks detect their own errors in order).
@@ -329,18 +315,13 @@ Result<Table> read_csv_text(std::string_view text, const CsvParams& params,
 
   // Type inference + column construction are independent per column.
   std::vector<Column> columns(header.size());
-  const auto build_one = [&](std::size_t c) {
+  parallel_for(params.num_threads, header.size(), [&](std::size_t c) {
     GPUMINE_SPAN("prep/csv_column");
     const bool forced = std::find(params.force_categorical.begin(),
                                   params.force_categorical.end(),
                                   header[c]) != params.force_categorical.end();
     columns[c] = build_column(cells[c], forced);
-  };
-  if (pool) {
-    pool->parallel_for(header.size(), build_one);
-  } else {
-    for (std::size_t c = 0; c < header.size(); ++c) build_one(c);
-  }
+  });
 
   Table table;
   for (std::size_t c = 0; c < header.size(); ++c) {

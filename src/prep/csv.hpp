@@ -9,9 +9,9 @@
 // Parsing is a two-pass design over the slurped text: a serial
 // quote-parity scan finds record boundaries (exact under RFC-4180 —
 // see split_records), then field splitting, type inference, and column
-// construction run chunked across a thread pool when
-// CsvParams::num_threads > 1. Output is byte-identical to the serial
-// path for any thread count.
+// construction run chunked across the shared compute pool when
+// CsvParams::num_threads > 1. Output is byte-identical for any thread
+// count.
 #pragma once
 
 #include <iosfwd>
@@ -29,8 +29,8 @@ struct CsvParams {
   /// numbers (ids, zip-code-like fields).
   std::vector<std::string> force_categorical;
   /// Worker threads for field splitting, type inference, and column
-  /// construction. 0 = hardware concurrency, 1 = fully serial (no pool
-  /// is created). The parsed Table is identical for any value.
+  /// construction. 0 = hardware concurrency, 1 = inline on the calling
+  /// thread. The parsed Table is identical for any value.
   std::size_t num_threads = 1;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
-#include <thread>
 
 #include "common/ensure.hpp"
 #include "common/thread_pool.hpp"
@@ -16,7 +14,8 @@ void EncoderParams::validate() const {
                     "dominance_threshold must be positive");
 }
 
-EncodeResult encode(const Table& table, const EncoderParams& params) {
+EncodeResult encode(const Table& table, const EncoderParams& params,
+                    std::size_t num_threads) {
   GPUMINE_SPAN("prep/encode");
   params.validate();
   const std::size_t rows = table.num_rows();
@@ -45,14 +44,6 @@ EncodeResult encode(const Table& table, const EncoderParams& params) {
   const double limit =
       params.dominance_threshold * static_cast<double>(rows);
 
-  std::size_t threads = params.num_threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  std::optional<ThreadPool> pool;
-  if (threads > 1 && rows > 0) pool.emplace(threads);
-
   // Per column: which label codes survive, their item names, and the
   // column's dominance-dropped items. Columns are independent, so the
   // counting pass runs one column per pool task; dropped_items are
@@ -61,7 +52,7 @@ EncodeResult encode(const Table& table, const EncoderParams& params) {
   std::vector<std::vector<bool>> keep(plan.size());
   std::vector<std::vector<std::string>> item_names(plan.size());
   std::vector<std::vector<std::string>> dropped(plan.size());
-  const auto count_column = [&](std::size_t c) {
+  parallel_for(num_threads, plan.size(), [&](std::size_t c) {
     const auto counts = plan[c].column->value_counts();
     keep[c].resize(counts.size());
     item_names[c].resize(counts.size());
@@ -78,12 +69,7 @@ EncodeResult encode(const Table& table, const EncoderParams& params) {
         keep[c][code] = true;
       }
     }
-  };
-  if (pool) {
-    pool->parallel_for(plan.size(), count_column);
-  } else {
-    for (std::size_t c = 0; c < plan.size(); ++c) count_column(c);
-  }
+  });
   for (std::vector<std::string>& d : dropped) {
     std::move(d.begin(), d.end(), std::back_inserter(result.dropped_items));
   }
@@ -105,10 +91,9 @@ EncodeResult encode(const Table& table, const EncoderParams& params) {
   // (TransactionDb::add canonicalizes each one on append, as before);
   // the serial append in chunk order makes the database identical to
   // the row-by-row sweep.
-  const std::size_t num_chunks =
-      pool ? std::max<std::size_t>(1, std::min(rows, threads * 4)) : 1;
+  const std::size_t num_chunks = parallel_chunks(num_threads, rows);
   std::vector<std::vector<core::Itemset>> chunk_txns(num_chunks);
-  const auto encode_chunk = [&](std::size_t i) {
+  parallel_for(num_threads, num_chunks, [&](std::size_t i) {
     GPUMINE_SPAN("prep/encode_chunk");
     const std::size_t lo = rows * i / num_chunks;
     const std::size_t hi = rows * (i + 1) / num_chunks;
@@ -124,12 +109,7 @@ EncodeResult encode(const Table& table, const EncoderParams& params) {
       }
       chunk_txns[i].push_back(txn);
     }
-  };
-  if (pool) {
-    pool->parallel_for(num_chunks, encode_chunk);
-  } else {
-    for (std::size_t i = 0; i < num_chunks; ++i) encode_chunk(i);
-  }
+  });
 
   result.db.reserve(rows, rows * plan.size());
   for (std::vector<core::Itemset>& txns : chunk_txns) {

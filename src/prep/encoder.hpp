@@ -23,10 +23,6 @@ struct EncoderParams {
   /// Columns whose item names should be the bare label (e.g. framework
   /// "Tensorflow", status "Failed") rather than "column = label".
   std::vector<std::string> bare_label_columns;
-  /// Worker threads for the counting pass (per column) and the row
-  /// encoding pass (per row chunk). 0 = hardware concurrency, 1 = fully
-  /// serial. The encoded database is identical for any value.
-  std::size_t num_threads = 1;
 
   void validate() const;
 };
@@ -39,8 +35,12 @@ struct EncodeResult {
 };
 
 /// Encodes every categorical column of `table`. Numeric columns trigger
-/// std::invalid_argument — bin them first (prep::bin_column).
+/// std::invalid_argument — bin them first (prep::bin_column). The counting
+/// pass (per column) and the row pass (per row chunk) run on `num_threads`
+/// workers (0 = hardware concurrency); the result is identical for any
+/// value.
 [[nodiscard]] EncodeResult encode(const Table& table,
-                                  const EncoderParams& params);
+                                  const EncoderParams& params,
+                                  std::size_t num_threads = 1);
 
 }  // namespace gpumine::prep

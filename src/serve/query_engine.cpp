@@ -1,7 +1,6 @@
 #include "serve/query_engine.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "analysis/export.hpp"
@@ -32,12 +31,7 @@ QueryEngine::QueryEngine(core::RuleSnapshot snapshot)
   }
 
   answers_.resize(num_items);
-  if (num_items == 0) return;
-  // Sized as ThreadPool(0) sizes itself, capped at one worker per item.
-  const std::size_t hardware =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  ThreadPool pool(std::min(hardware, num_items));
-  pool.parallel_for(num_items, [&](std::size_t item) {
+  parallel_for(0, num_items, [&](std::size_t item) {
     GPUMINE_SPAN("serve/engine_keyword");
     const auto id = static_cast<core::ItemId>(item);
     Answer& answer = answers_[item];

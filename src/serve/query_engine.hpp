@@ -16,9 +16,10 @@
 // The build makes one pass over the snapshot's rules. It fills one
 // core::RuleLookup shared by every keyword and, per item, the indices
 // of the rules that mention it; no rule is copied. It then prunes and
-// renders each item as its own task on a ThreadPool with one worker per
-// hardware thread (at most one per item). Each keyword keeps only its
-// JSON, its PruneStats and its survivors as indices into rules().
+// renders each item as its own task on the shared compute pool of one
+// worker per hardware thread (ThreadPool::shared(0)), which every build
+// of the process reuses. Each keyword keeps only its JSON, its
+// PruneStats and its survivors as indices into rules().
 //
 // The answers are byte-identical to running the one-shot CLI pipeline
 // (`gpumine mine --keyword K --format json`) over the same mining

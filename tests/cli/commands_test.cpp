@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <variant>
 
 #include "common/log.hpp"
+#include "common/trace.hpp"
 #include "core/snapshot.hpp"
 #include "serve/handler.hpp"
 #include "serve/query_engine.hpp"
@@ -689,6 +692,48 @@ TEST(Cli, MineTraceAndStatsJsonRoundTrip) {
   EXPECT_NE(stats_text.find("\"trace_spans\":"), std::string::npos);
   EXPECT_NE(stats_text.find("\"prep_stage\":"), std::string::npos);
   EXPECT_NE(stats_text.find("\"mine/fpgrowth\""), std::string::npos);
+}
+
+// Every stage of a command runs on one compute pool that outlives the
+// command. Its parked workers hold `pool/idle` spans across the next
+// command's Tracer::reset(); those spans belong to the earlier run and
+// must record nothing in the later one. Each run's trace holds the
+// calling thread and the pool's four workers, no more.
+TEST(Cli, RepeatedTracedMinesInOneProcessValidate) {
+  const std::string csv = temp_path("cli_repeat.csv");
+  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "3000", "--out",
+                     csv})
+                .code,
+            0);
+  for (int run = 0; run < 3; ++run) {
+    const std::string trace =
+        temp_path("cli_repeat_" + std::to_string(run) + ".json");
+    const auto begin = std::chrono::steady_clock::now();
+    const auto mine =
+        run_cli({"mine", "--csv", csv, "--keyword", "Failed", "--bare",
+                 "Status", "--threads", "4", "--trace", trace});
+    const double run_us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - begin)
+                              .count();
+    ASSERT_EQ(mine.code, 0) << "run " << run << ": " << mine.err;
+    const auto checked = validate_chrome_trace_file(trace);
+    ASSERT_TRUE(checked.ok()) << "run " << run << ": "
+                              << checked.error().to_string();
+
+    std::ifstream in(trace);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::set<std::string> tids;
+    for (std::size_t at = text.find("\"dur\":"); at != std::string::npos;
+         at = text.find("\"dur\":", at + 1)) {
+      EXPECT_LE(std::stod(text.substr(at + 6)), run_us) << "run " << run;
+    }
+    for (std::size_t at = text.find("\"tid\":"); at != std::string::npos;
+         at = text.find("\"tid\":", at + 1)) {
+      tids.insert(text.substr(at + 6, text.find(',', at) - at - 6));
+    }
+    EXPECT_LE(tids.size(), 5u) << "run " << run;
+  }
 }
 
 TEST(Cli, MineMetricsOutWritesLintedExposition) {

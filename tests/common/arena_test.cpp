@@ -71,6 +71,21 @@ TEST(ArenaPool, RecyclesArenasWithoutFreshAllocation) {
   EXPECT_EQ(metrics.peak_bytes, fresh);
 }
 
+// bytes_reused counts what a recycled arena hands out from the blocks it
+// already held, not the capacity it brings along.
+TEST(ArenaPool, CountsBytesReusedNotCapacity) {
+  ArenaPool pool;
+  {
+    auto handle = pool.acquire();
+    (void)handle->allocate_array<std::uint8_t>(1000);
+  }
+  {
+    auto handle = pool.acquire();
+    (void)handle->allocate_array<std::uint8_t>(100);
+  }
+  EXPECT_EQ(pool.metrics().bytes_reused, 100u);
+}
+
 TEST(ArenaPool, HandleMoveTransfersOwnershipAndReleaseIsIdempotent) {
   ArenaPool pool;
   auto a = pool.acquire();

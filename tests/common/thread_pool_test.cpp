@@ -1,6 +1,7 @@
 // Scheduler correctness: exception safety of parallel_for (the seed's
 // UB regression), nested fork/join from inside workers (the old pool
-// could deadlock), TaskGroup semantics, and metrics sanity.
+// could deadlock), TaskGroup semantics, metrics sanity, and the shared
+// compute pool behind the free parallel_for.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -153,11 +154,18 @@ TEST(ThreadPool, MetricsCountSpawnsAndWork) {
   pool.parallel_for(kTasks, [](std::size_t) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   });
-  const SchedulerMetrics m = pool.metrics();
+  const SchedulerMetrics m = pool.take_metrics();
   EXPECT_EQ(m.tasks_spawned, kTasks - 1);  // index 0 runs on the caller
   EXPECT_EQ(m.worker_busy_seconds.size(), 4u);
   EXPECT_LE(m.tasks_stolen, m.tasks_spawned);
   EXPECT_GE(m.peak_queue_length, 1u);
+
+  // Taking the counters zeroes them.
+  const SchedulerMetrics again = pool.take_metrics();
+  EXPECT_EQ(again.tasks_spawned, 0u);
+  EXPECT_EQ(again.tasks_stolen, 0u);
+  EXPECT_EQ(again.peak_queue_length, 0u);
+  for (const double busy : again.worker_busy_seconds) EXPECT_EQ(busy, 0.0);
 }
 
 // Tasks spawned from inside one worker land on that worker's own deque;
@@ -175,7 +183,35 @@ TEST(ThreadPool, WorkSpawnedOnOneWorkerGetsStolen) {
     inner.wait();
   });
   group.wait();
-  EXPECT_GT(pool.metrics().tasks_stolen, 0u);
+  EXPECT_GT(pool.take_metrics().tasks_stolen, 0u);
+}
+
+// One pool per width for the whole process; parallel_for runs inline at
+// width 1 and on that pool otherwise.
+TEST(ThreadPool, SharedPoolIsOnePerWidth) {
+  ThreadPool& pool = ThreadPool::shared(4);
+  EXPECT_EQ(&ThreadPool::shared(4), &pool);
+  EXPECT_EQ(pool.size(), 4u);
+  EXPECT_EQ(&ThreadPool::shared(0), &ThreadPool::shared(pool_width(0)));
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(1, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  (void)pool.take_metrics();
+  std::vector<std::atomic<int>> hits(64);
+  parallel_for(4, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.take_metrics().tasks_spawned, hits.size() - 1);
+
+  EXPECT_EQ(parallel_chunks(1, 100), 1u);
+  EXPECT_EQ(parallel_chunks(4, 100), 16u);
+  EXPECT_EQ(parallel_chunks(4, 3), 3u);
+  EXPECT_EQ(parallel_chunks(4, 0), 1u);
 }
 
 }  // namespace

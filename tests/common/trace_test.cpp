@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -194,6 +195,31 @@ TEST_F(TraceTest, ResetDropsEventsAndReusesCleanBuffers) {
   EXPECT_TRUE(Tracer::instance().collect().empty());
   // Recording still works after a reset (thread re-registers).
   { Span s("test/after_reset"); }
+  const auto events = Tracer::instance().collect();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "test/after_reset");
+}
+
+// A span still open when reset() runs, such as a parked pool worker's
+// `pool/idle`, began in the dropped epoch: it records nothing.
+TEST_F(TraceTest, SpanOpenAcrossResetRecordsNothing) {
+  Tracer::instance().enable();
+  {
+    Span open("test/open_across_reset");
+    std::atomic<bool> opened{false};
+    std::atomic<bool> reset_done{false};
+    std::thread parked([&] {
+      Span idle("test/parked");
+      opened.store(true);
+      while (!reset_done.load()) std::this_thread::yield();
+    });
+    while (!opened.load()) std::this_thread::yield();
+    Tracer::instance().reset();
+    reset_done.store(true);
+    parked.join();
+    Span after("test/after_reset");
+  }
+  Tracer::instance().disable();
   const auto events = Tracer::instance().collect();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "test/after_reset");

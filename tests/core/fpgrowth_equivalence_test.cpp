@@ -28,7 +28,6 @@ void check_against_apriori(const TransactionDb& db, const char* label) {
   base.min_support = 0.05;
   base.max_length = 5;
   base.num_threads = 1;
-  base.serial_cutoff_items = 0;  // small fixture: force the parallel path
   const auto reference = mine_apriori(db, base);
   ASSERT_FALSE(reference.itemsets.empty()) << label;
 

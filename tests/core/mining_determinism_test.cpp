@@ -40,7 +40,6 @@ void check_thread_counts(const TransactionDb& db, const char* label) {
   base.min_support = 0.05;
   base.max_length = 5;
   base.num_threads = 1;
-  base.serial_cutoff_items = 0;  // small fixture: force the parallel path
   const auto reference = mine_fpgrowth(db, base);
   ASSERT_FALSE(reference.itemsets.empty()) << label;
 
@@ -72,13 +71,32 @@ TEST(MiningDeterminism, ParallelRunReportsSchedulerMetrics) {
   MiningParams params;
   params.num_threads = 4;
   params.spawn_cutoff_nodes = 2;
-  params.serial_cutoff_items = 0;  // small fixture: force the parallel path
   const auto result = mine_fpgrowth(encoded_pai(), params);
   EXPECT_EQ(result.metrics.num_workers, 4u);
   EXPECT_GT(result.metrics.tasks_spawned, 0u);
   EXPECT_FALSE(result.metrics.depth_histogram.empty());
   EXPECT_GT(result.metrics.wall_seconds, 0.0);
   EXPECT_EQ(result.metrics.worker_busy_seconds.size(), 4u);
+}
+
+// Every run uses the one shared pool, so its scheduler counters must
+// describe that run alone: two identical runs in a row report the same
+// spawns, and neither reports more busy time than its workers had.
+TEST(MiningDeterminism, SchedulerMetricsDescribeOneRun) {
+  const TransactionDb db = encoded_pai();
+  MiningParams params;
+  params.num_threads = 4;
+  params.spawn_cutoff_nodes = 2;
+  const auto first = mine_fpgrowth(db, params);
+  const auto second = mine_fpgrowth(db, params);
+  ASSERT_GT(first.metrics.tasks_spawned, 0u);
+  EXPECT_EQ(second.metrics.tasks_spawned, first.metrics.tasks_spawned);
+  for (const MiningResult* run : {&first, &second}) {
+    double busy = 0.0;
+    for (const double s : run->metrics.worker_busy_seconds) busy += s;
+    EXPECT_LE(busy, run->metrics.wall_seconds *
+                        static_cast<double>(run->metrics.num_workers));
+  }
 }
 
 }  // namespace

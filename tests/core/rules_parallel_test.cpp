@@ -50,7 +50,6 @@ void check_parallel_matches_serial(const MiningResult& mined,
   RuleParams serial;
   serial.min_lift = 1.2;
   serial.num_threads = 1;
-  serial.serial_cutoff_itemsets = 0;  // small fixture: force sharding
   const auto reference = generate_rules(mined, serial, index);
   ASSERT_FALSE(reference.empty()) << label;
   const std::string expected = fingerprint(reference);
@@ -104,7 +103,6 @@ TEST(ParallelRules, CompatOverloadMatchesIndexedOverload) {
   RuleParams params;
   params.min_lift = 1.2;
   params.num_threads = 2;
-  params.serial_cutoff_itemsets = 0;  // small fixture: force sharding
   const SupportIndex index(mined);
   EXPECT_EQ(fingerprint(generate_rules(mined, params)),
             fingerprint(generate_rules(mined, params, index)));

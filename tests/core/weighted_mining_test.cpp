@@ -113,7 +113,6 @@ void check_weighted_equivalence(const TransactionDb& db, const char* label) {
   base.min_support = 0.05;
   base.max_length = 5;
   base.num_threads = 1;
-  base.serial_cutoff_items = 0;  // small fixture: force the parallel path
 
   const auto reference = mine_fpgrowth(db, base);
   ASSERT_FALSE(reference.itemsets.empty()) << label;

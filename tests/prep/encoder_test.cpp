@@ -87,6 +87,26 @@ TEST(Encoder, DeterministicItemIds) {
   }
 }
 
+// The counting and row passes split across the pool; the database, the
+// item ids and the dropped items must not depend on the width.
+TEST(Encoder, SameResultAtAnyWidth) {
+  EncoderParams p;
+  p.dominance_threshold = 0.5;  // drops "Status = Passed" (2 of 3 rows)
+  const auto serial = encode(small_table(), p);
+  for (const std::size_t width : {2u, 4u}) {
+    const auto parallel = encode(small_table(), p, width);
+    ASSERT_EQ(parallel.db.size(), serial.db.size()) << width;
+    for (std::size_t i = 0; i < serial.db.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(parallel.db[i], serial.db[i])) << width;
+    }
+    ASSERT_EQ(parallel.catalog.size(), serial.catalog.size()) << width;
+    for (core::ItemId id = 0; id < serial.catalog.size(); ++id) {
+      EXPECT_EQ(parallel.catalog.name(id), serial.catalog.name(id)) << width;
+    }
+    EXPECT_EQ(parallel.dropped_items, serial.dropped_items) << width;
+  }
+}
+
 TEST(Encoder, TransactionsAreCanonical) {
   const auto result = encode(small_table(), EncoderParams{});
   for (std::size_t i = 0; i < result.db.size(); ++i) {

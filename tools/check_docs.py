@@ -3,8 +3,10 @@
 
 The classes of rot this catches:
 
-1. Broken relative links: every ``[text](path)`` in README.md and
-   docs/*.md whose target is a repo-relative path must resolve to an
+The checked documents are README.md, DESIGN.md and docs/*.md.
+
+1. Broken relative links: every ``[text](path)`` in a checked document
+   whose target is a repo-relative path must resolve to an
    existing file or directory. External links (http/https/mailto),
    pure anchors (``#section``) and paths escaping the repo root (e.g.
    the CI badge's ``../../actions`` URL) are skipped.
@@ -53,6 +55,12 @@ The classes of rot this catches:
    closing backtick or a ``  #`` comment), or in a ``cli/`` table row,
    must be in that command's table. ``--help`` is the driver's own.
 
+7. Phantom paths: every repo path inside inline backticks in a checked
+   document (``src/...``, ``tests/...``, ``tools/...``, ``docs/...``,
+   ``examples/...``; fenced code blocks are skipped) must exist, as a
+   file or a directory, or as at least one match when it holds a ``*``.
+   ``bench/<name>`` binaries are rule 2's.
+
 Exit code 0 when clean, 1 with one line per problem otherwise.
 """
 
@@ -86,10 +94,15 @@ SPAN_CALL = re.compile(r"(?:\bGPUMINE_SPAN|\bSpan\s+\w+)\s*\(([^;]*?)\)\s*;")
 # An event named in place, such as the crash dump's marker.
 EVENT_NAME = re.compile(r'\.name\s*=\s*"([^"/]+/[^"]+)"')
 STRING_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"')
+# A repo path inside an inline code span (not the tail of a longer path
+# such as build/tests/...).
+REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:src|tests|tools|docs|examples)/[\w./*-]*)"
+)
 
 
 def checked_documents():
-    docs = [REPO / "README.md"]
+    docs = [REPO / "README.md", REPO / "DESIGN.md"]
     docs.extend(sorted((REPO / "docs").glob("*.md")))
     return [d for d in docs if d.is_file()]
 
@@ -134,6 +147,24 @@ def check_binaries(doc, problems, registered):
                 problems.append(
                     f"{doc.relative_to(REPO)}: {source} is not registered "
                     f"in {directory}/CMakeLists.txt (it will not build)"
+                )
+
+
+def check_paths(doc, problems):
+    text = re.sub(
+        r"```.*?```", "", doc.read_text(encoding="utf-8"), flags=re.S
+    )
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for path in REPO_PATH.findall(span):
+            path = path.rstrip(".")
+            if "*" in path:
+                found = any(REPO.glob(path))
+            else:
+                found = (REPO / path).exists()
+            if not found:
+                problems.append(
+                    f"{doc.relative_to(REPO)}: references missing path "
+                    f"'{path}'"
                 )
 
 
@@ -384,6 +415,7 @@ def main():
     for doc in docs:
         check_links(doc, problems)
         check_binaries(doc, problems, registered)
+        check_paths(doc, problems)
     check_stats_schema(stats, problems)
     check_metrics_families(metrics, problems)
     check_span_inventory(problems)

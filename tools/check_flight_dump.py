@@ -4,13 +4,17 @@
 Usage: tools/check_flight_dump.py DUMP.json   (stdlib only)
 
 `gpumine serve --flight-dump DUMP.json` writes the dump from its crash
-handler, or on a clean exit. Every reload builds the query engine on a
-thread pool of its own, so each reload starts and ends threads. This
-check passes when the dump still explains the newest reload:
+handler, or on a clean exit. Every reload builds the query engine on the
+process's compute pool of one worker per hardware thread, the same
+workers each time, so each worker's ring holds spans of many reloads.
+This check passes when the dump still explains the newest reload:
 
 1. the newest `serve/engine_build` span has `serve/engine_keyword` spans
-   inside its interval on at least one other tid (the engine pool's
-   threads kept their spans after they exited);
+   inside its interval on at least one other tid (the pool's workers
+   kept the newest build's spans). This needs
+   `std::thread::hardware_concurrency() > 1`: on one hardware thread the
+   pool has one worker, and the building thread may render every
+   keyword itself;
 2. the `flight/dump` marker lies at or after the latest span end and
    within 60 s of it (the marker is on the span clock).
 
